@@ -318,20 +318,26 @@ def _cmd_random(args) -> int:
 #
 # Work is partitioned deterministically (by the entry at the full direction
 # set) and results are merged and re-sorted canonically, so output does not
-# depend on the schedule.
+# depend on the schedule.  The budget is global: the workers' candidate
+# counts are summed and checked against it (a worker also stops once its own
+# count exceeds it).  Without a lower bound the counts add up exactly to the
+# serial count, so the budget verdict does not depend on the worker count.
 
 
 def _enum_worker(payload):
     path, lower, budget, tops = payload
     model = load_model_path(path)
-    return list(
+    stats: dict = {}
+    fams = list(
         iter_t_families(
             model,
             lower=tuple(lower) if lower is not None else None,
             budget=budget,
             top_choices=tops,
+            stats=stats,
         )
     )
+    return fams, stats
 
 
 def _enumerate_parallel(model, path, lower, budget, jobs):
@@ -345,15 +351,22 @@ def _enumerate_parallel(model, path, lower, budget, jobs):
         if chunk
     ]
     fams = []
+    stats = {"candidates": 0, "found": 0}
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_enum_worker, payloads):
+        for part, part_stats in pool.map(_enum_worker, payloads):
             fams.extend(part)
+            for key in stats:
+                stats[key] += part_stats[key]
+    if stats["candidates"] > budget:
+        raise BudgetExceededError(
+            "enumeration budget exceeded", dict(stats, budget=budget)
+        )
     fams.sort(key=lambda fam: family_sort_key(model, fam))
     if lower is None:
         mode = "T"
     else:
         mode = "O" if tuple(lower) == i_family(model) else "relative_O"
-    return EnumerationResult(tuple(fams), len(fams), mode)
+    return EnumerationResult(tuple(fams), len(fams), mode, stats)
 
 
 if __name__ == "__main__":

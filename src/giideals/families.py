@@ -6,7 +6,8 @@ characterisations of gauge-invariant-ideal parameters (the per-direction
 fixed-point equations on one side, the invariant/ordered/absorbing tuple
 conditions on the other), plus the relative variants that pin a lower-bound
 family.  Enumeration walks the direction-set lattice top-down, pruning with
-greatest fixed points.
+greatest fixed points.  Joins go the other way: the equations split into
+Horn rules, and the least family above a given one is their closure.
 
 "Consists of ideals" is automatic here: under the subset duality every
 vertex set is an ideal of the function algebra, so no check carries that
@@ -437,30 +438,71 @@ def meet(f1, f2, model: DirectionModel | None = None) -> IdealFamily:
     return out
 
 
-def join(model: DirectionModel, f1, f2, budget: int | None = DEFAULT_BUDGET) -> IdealFamily:
+def t_closure(model: DirectionModel, family) -> IdealFamily:
+    """Least family satisfying the per-direction equations above ``family``.
+
+    Each equation ``H_F = phi(i, H_F) & H_{F+i}`` splits into three Horn
+    rules over the atoms "vertex v lies in the entry at F":
+
+    * ``H_F <= H_{F+i}``;
+    * ``v in H_F`` implies ``dep_i(v) <= H_F``;
+    * ``phi(i, H_F) & H_{F+i} <= H_F``;
+
+    where ``phi(i, H) = {v : dep_i(v) <= H}``.  That form is exact because
+    ``phi(i, .)`` preserves intersections and ``phi(i, V) = V``, so
+    ``u in dep_i(v)`` iff ``v`` is missing from ``phi(i, V - {u})``.  The
+    rules only ever add vertices, so iterating them to a fixed point gives
+    the least closed family, the all-V family being closed.
+    """
+    fam = list(check_family(model, family))
+    full = model.full
+    deps = []
+    for i in range(1, model.rank + 1):
+        images = [model._phi(i, full & ~(1 << u)) for u in range(model.vertex_count)]
+        deps.append(
+            [
+                sum(1 << u for u, img in enumerate(images) if not img >> v & 1)
+                for v in range(model.vertex_count)
+            ]
+        )
+    steps = [
+        (f, f | (1 << (i - 1)), i, deps[i - 1])
+        for f in canonical_masks(model.rank)
+        for i in free_directions(model, f)
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for f, up, i, dep in steps:
+            s = fam[f]
+            t = s
+            for v in range(s.bit_length()):
+                if s >> v & 1:
+                    t |= dep[v]
+            t |= model._phi(i, t) & fam[up]
+            if t != s:
+                fam[f] = t
+                changed = True
+            if t & ~fam[up]:
+                fam[up] |= t
+                changed = True
+    return tuple(fam)
+
+
+def join(model: DirectionModel, f1, f2) -> IdealFamily:
     """Least family above both arguments.
 
-    Computed, not formula-based: the enumerated family set is meet-closed,
-    so the meet of all enumerated upper bounds of the pointwise union is the
-    unique minimal upper bound.
+    The closure (:func:`t_closure`) of the pointwise union: the family set
+    is meet-closed and contains the all-V family, so the least upper bound
+    is the least fixed point above the union.  No enumeration is involved,
+    so there is no budget.  Both inputs and the output are checked.
     """
     a = check_family(model, f1)
     b = check_family(model, f2)
     for fam, who in ((a, "left"), (b, "right")):
         if not is_t_family(model, fam).verdict:
             raise InvalidInputError(f"{who} argument is not a valid family")
-    union = tuple(x | y for x, y in zip(a, b))
-    result = enumerate_t_families(model, budget=budget)
-    uppers = [
-        fam
-        for fam in result.families
-        if all(u & ~s == 0 for u, s in zip(union, fam))
-    ]
-    if not uppers:
-        raise InternalConsistencyError("no upper bound found; the all-V family is missing")
-    out = uppers[0]
-    for fam in uppers[1:]:
-        out = tuple(x & y for x, y in zip(out, fam))
-    if out not in set(result.families):
-        raise InternalConsistencyError("join fell outside the enumerated set")
+    out = t_closure(model, tuple(x | y for x, y in zip(a, b)))
+    if not is_t_family(model, out).verdict:
+        raise InternalConsistencyError("closure of the union failed the check")
     return out

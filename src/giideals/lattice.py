@@ -38,50 +38,59 @@ class LatticeGraph:
         raise InvalidInputError(f"unknown node id {node_id!r}")
 
 
-def _le(a: IdealFamily, b: IdealFamily) -> bool:
-    return all(x & ~y == 0 for x, y in zip(a, b))
-
-
 def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGraph:
     """Cover structure of an enumeration, with meet-closure verified.
 
     A missing pairwise meet means a checker or enumerator bug, so it raises
     an internal-consistency error rather than an input error.
+
+    Each family is packed into one int (the entry at mask ``m`` shifted by
+    ``m * |V|``), so containment and meets are single int operations.  Every
+    node gets bitmasks of its strict upper and lower bounds, by node index;
+    ``b`` covers ``a`` iff ``b`` is above ``a`` and nothing is strictly
+    between, i.e. ``up[a] & down[b] == 0``.
     """
     fams = list(result.families)
     if not fams:
         raise InvalidInputError("cannot build a lattice from an empty enumeration")
     fams.sort(key=lambda fam: family_sort_key(model, fam))
-    index = {fam: n for n, fam in enumerate(fams)}
-    if len(index) != len(fams):
+    width = model.vertex_count
+    packed = [sum(s << (m * width) for m, s in enumerate(fam)) for fam in fams]
+    packed_set = set(packed)
+    if len(packed_set) != len(fams):
         raise InternalConsistencyError("duplicate families in enumeration result")
 
-    for a in fams:
-        for b in fams:
-            m = tuple(x & y for x, y in zip(a, b))
-            if m not in index:
+    up = [0] * len(fams)
+    down = [0] * len(fams)
+    for a_i, pa in enumerate(packed):
+        for b_i in range(a_i + 1, len(fams)):
+            pb = packed[b_i]
+            m = pa & pb
+            if m not in packed_set:
                 raise InternalConsistencyError(
                     "family set is not closed under pointwise intersection"
                 )
+            if m == pa:
+                up[a_i] |= 1 << b_i
+                down[b_i] |= 1 << a_i
+            elif m == pb:
+                up[b_i] |= 1 << a_i
+                down[a_i] |= 1 << b_i
 
     ids = [fingerprint(family_to_doc(model, fam)) for fam in fams]
 
-    less = [[False] * len(fams) for _ in fams]
-    for a_i, a in enumerate(fams):
-        for b_i, b in enumerate(fams):
-            less[a_i][b_i] = a_i != b_i and _le(a, b)
-
     edges = []
-    for a_i in range(len(fams)):
-        for b_i in range(len(fams)):
-            if not less[a_i][b_i]:
-                continue
-            if any(less[a_i][c_i] and less[c_i][b_i] for c_i in range(len(fams))):
-                continue
-            edges.append((ids[a_i], ids[b_i]))
+    for a_i, above in enumerate(up):
+        rest = above
+        while rest:
+            low = rest & -rest
+            b_i = low.bit_length() - 1
+            if above & down[b_i] == 0:
+                edges.append((ids[a_i], ids[b_i]))
+            rest ^= low
 
-    bottoms = [i for i in range(len(fams)) if not any(less[j][i] for j in range(len(fams)))]
-    tops = [i for i in range(len(fams)) if not any(less[i][j] for j in range(len(fams)))]
+    bottoms = [i for i, below in enumerate(down) if not below]
+    tops = [i for i, above in enumerate(up) if not above]
     if len(bottoms) != 1 or len(tops) != 1:
         raise InternalConsistencyError("family set has no unique bottom or top")
     top_fam = fams[tops[0]]

@@ -129,6 +129,28 @@ def t_families_by_filter(model: DirectionModel) -> tuple[IdealFamily, ...]:
     return tuple(out)
 
 
+def join_by_upper_bounds(model: DirectionModel, a, b) -> IdealFamily:
+    """Meet of every enumerated fixed-point family above ``a | b``.
+
+    The enumerated set is meet-closed and contains the all-V family, so this
+    is the least such family; for two valid families it is their join.  The
+    arguments may be any families over the model; ``a == b`` gives the
+    least fixed-point family above ``a``.
+    """
+    from .families import enumerate_t_families
+
+    union = tuple(x | y for x, y in zip(a, b))
+    uppers = [
+        fam
+        for fam in enumerate_t_families(model).families
+        if all(u & ~s == 0 for u, s in zip(union, fam))
+    ]
+    out = uppers[0]
+    for fam in uppers[1:]:
+        out = tuple(x & y for x, y in zip(out, fam))
+    return out
+
+
 def phi_n_by_matrix_powers(
     model: KGraphSkeleton, subset: VertexSet, degree
 ) -> VertexSet:

@@ -259,6 +259,27 @@ def test_jobs_do_not_change_output(capsys, fixture_dir):
     assert out1 == out2
 
 
+def test_jobs_share_one_enumeration_budget(capsys, tmp_path):
+    # the model needs 402 candidates in all, fewer than 300 per worker
+    code, doc, _ = run(
+        capsys, "random", "--kind", "kgraph", "--rank", "2", "--vertices", "5",
+        "--seed", "7",
+    )
+    assert code == 0
+    model = tmp_path / "model.json"
+    model.write_text(doc)
+    base = ["enumerate", str(model)]
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, *base, "--budget", "300", "--jobs", jobs)
+        assert code == 3
+        assert json.loads(out)["error"] == "budget-exceeded"
+        code, out, _ = run(capsys, *base, "--jobs", jobs)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_jobs_relative_enumeration_identical(capsys, fixture_dir, tmp_path):
     bound = tmp_path / "bound.json"
     bound.write_text(

@@ -21,7 +21,7 @@ from giideals import (
     join,
     meet,
 )
-from giideals.families import VIOLATIONS, family_sort_key, iter_t_families
+from giideals.families import VIOLATIONS, family_sort_key, iter_t_families, t_closure
 from giideals import fixtures, oracles
 
 from helpers import small_models
@@ -291,6 +291,33 @@ def test_meet_of_valid_families_is_valid_sampled(model, data):
     b = data.draw(st.sampled_from(fams))
     got = meet(a, b, model)
     assert got in set(fams)
+
+
+def test_join_matches_upper_bound_oracle_on_fixtures():
+    for model in (
+        fixtures.loops2(), fixtures.funnel1(), fixtures.funnel2(), fixtures.absorb2()
+    ):
+        fams = enumerate_t_families(model).families
+        for a, b in itertools.product(fams, repeat=2):
+            assert join(model, a, b) == oracles.join_by_upper_bounds(model, a, b)
+
+
+@given(small_models(max_rank=2, max_vertices=3), st.data())
+def test_join_matches_upper_bound_oracle_sampled(model, data):
+    fams = enumerate_t_families(model).families
+    a = data.draw(st.sampled_from(fams))
+    b = data.draw(st.sampled_from(fams))
+    assert join(model, a, b) == oracles.join_by_upper_bounds(model, a, b)
+
+
+@given(small_models(max_rank=2, max_vertices=3), st.data())
+def test_t_closure_is_least_family_above_arbitrary_input(model, data):
+    nmasks = 1 << model.rank
+    fam = tuple(data.draw(st.integers(0, model.full)) for _ in range(nmasks))
+    closed = t_closure(model, fam)
+    assert closed == oracles.join_by_upper_bounds(model, fam, fam)
+    assert is_t_family(model, closed).verdict
+    assert t_closure(model, closed) == closed
 
 
 @given(small_models(max_rank=2, max_vertices=2))

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given
 
 from giideals import (
     InternalConsistencyError,
@@ -14,6 +15,9 @@ from giideals import (
 from giideals.core import InvalidInputError
 from giideals.families import EnumerationResult
 from giideals import fixtures, oracles
+from giideals.crossval import builtin_random_models
+
+from helpers import small_models
 
 
 def le(a, b):
@@ -47,16 +51,31 @@ def test_loops2_six_node_shape():
     assert len(lat.cover_edges) == 6
 
 
+def assert_covers_match_naive_oracle(model, result):
+    lat = build_lattice(model, result)
+    fams = [fam for _, fam in lat.nodes]
+    ids = [nid for nid, _ in lat.nodes]
+    naive = [
+        (ids[a], ids[b]) for a, b in oracles.transitive_reduction_naive(fams, le)
+    ]
+    assert list(lat.cover_edges) == naive
+
+
 def test_reduction_matches_naive_oracle():
     for model in fixtures.all_models():
-        lat = build_lattice(model, enumerate_t_families(model))
-        fams = [fam for _, fam in lat.nodes]
-        ids = [nid for nid, _ in lat.nodes]
-        naive = {
-            (ids[a], ids[b])
-            for a, b in oracles.transitive_reduction_naive(fams, le)
-        }
-        assert set(lat.cover_edges) == naive
+        assert_covers_match_naive_oracle(model, enumerate_t_families(model))
+
+
+@given(small_models(max_rank=2, max_vertices=3))
+def test_reduction_matches_naive_oracle_sampled(model):
+    assert_covers_match_naive_oracle(model, enumerate_t_families(model))
+
+
+def test_reduction_matches_naive_oracle_on_random_leg_model():
+    model, _ = builtin_random_models(33)[32]
+    result = enumerate_t_families(model)
+    assert 100 <= result.count <= 200
+    assert_covers_match_naive_oracle(model, result)
 
 
 def test_cover_relation_irreflexive_acyclic():
