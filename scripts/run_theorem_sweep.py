@@ -16,7 +16,7 @@ import time
 
 from giideals.crossval import (
     BUILTIN_SEED,
-    CorpusSpec,
+    EXHAUSTIVE_LEGS,
     builtin_random_models,
     iter_corpus_models,
     property_suite,
@@ -34,32 +34,8 @@ def main():
 
     legs = []
     if not args.skip_exhaustive:
-        legs.append(
-            (
-                "all commuting partial-map pairs on <= 3 points",
-                list(
-                    iter_corpus_models(
-                        CorpusSpec(
-                            kinds=("dynsys",), rank_min=2, rank_max=2,
-                            vertices_min=1, vertices_max=3, exhaustive=True,
-                        )
-                    )
-                ),
-            )
-        )
-        legs.append(
-            (
-                "all commuting matrix pairs (entries <= 2) on <= 2 vertices",
-                list(
-                    iter_corpus_models(
-                        CorpusSpec(
-                            kinds=("kgraph",), rank_min=2, rank_max=2,
-                            vertices_min=1, vertices_max=2, max_mult=2,
-                            exhaustive=True,
-                        )
-                    )
-                ),
-            )
+        legs.extend(
+            (name, list(iter_corpus_models(spec))) for name, spec in EXHAUSTIVE_LEGS
         )
     legs.append(
         (

@@ -25,6 +25,7 @@ safe to share across concurrent workers.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Iterator
 
 #: Vertex sets are fixed-width bitmasks; larger models are rejected at load.
@@ -98,8 +99,9 @@ def label_to_mask(label: str, rank: int) -> SubsetMask:
     return mask_of(parts, rank)
 
 
+@functools.cache
 def canonical_masks(rank: int) -> tuple[SubsetMask, ...]:
-    """All direction masks ordered by (popcount, numeric value)."""
+    """All direction masks ordered by (popcount, numeric value); memoised."""
     return tuple(sorted(range(1 << rank), key=lambda m: (m.bit_count(), m)))
 
 
@@ -352,6 +354,37 @@ def xf_inverse(model: DirectionModel, subset: VertexSet, f: SubsetMask) -> Verte
             t = model._phi(i, t)
         out &= t
     return out
+
+
+def division_tables(
+    model: DirectionModel,
+) -> tuple[dict[SubsetMask, list[VertexSet]], dict[SubsetMask, list[VertexSet]]]:
+    """Tables ``(xf, jf)`` of :func:`xf_inverse` and :func:`jf_of` over every
+    subset, keyed by nonempty direction set: ``xf[f][h] == xf_inverse(model,
+    h, f)`` and ``jf[f][h] == jf_of(model, h, f)``.
+
+    Built from the phi tables, so limited to the same model size.  Splitting
+    the lowest direction ``i`` off ``f`` gives
+    ``xf[f][h] = xf[r][h] & phi(i, h) & phi(i, xf[r][h])`` for the rest
+    ``r``, since ``phi(i, .)`` preserves intersections.  Built per call, not
+    cached on the model, so the tables live only as long as the caller
+    holds them.
+    """
+    phis = [model.phi_table(i) for i in range(1, model.rank + 1)]
+    size = 1 << model.vertex_count
+    full = model.full
+    xf: dict[SubsetMask, list[VertexSet]] = {}
+    for f in canonical_masks(model.rank)[1:]:
+        low = (f & -f).bit_length() - 1
+        rest = f & ~(1 << low)
+        pl = phis[low]
+        if rest == 0:
+            xf[f] = pl
+        else:
+            xr = xf[rest]
+            xf[f] = [xr[h] & pl[h] & pl[xr[h]] for h in range(size)]
+    jf = {f: [(~x & full) | h for h, x in enumerate(row)] for f, row in xf.items()}
+    return xf, jf
 
 
 def jf_of(model: DirectionModel, subset: VertexSet, f: SubsetMask) -> VertexSet:

@@ -9,7 +9,13 @@ counterexample worth a bug ticket.
 
 Sweeps run on table-driven re-implementations of both checks for speed; the
 test suite pins those tables to the public checkers exhaustively on small
-models, so the fast path cannot drift silently.
+models, so the fast path cannot drift silently.  The division tables
+(:func:`giideals.core.division_tables`) also serve the property suite.
+
+Both the sweep and the property suite need tables over every vertex subset,
+so they stop at models of at most 16 vertices: a larger model raises
+:class:`BudgetExceededError` (a budget exit, code 3 in the CLI), not an
+input error, since the model itself is valid.
 """
 
 from __future__ import annotations
@@ -20,16 +26,17 @@ from dataclasses import dataclass
 
 from . import fixtures
 from .core import (
+    _TABLE_LIMIT,
     BudgetExceededError,
     DirectionModel,
     InvalidInputError,
     MAX_VERTICES,
     canonical_masks,
+    division_tables,
     free_directions,
     i_family,
     j_family,
     jf_of,
-    xf_inverse,
 )
 from .dynsys import PartialMapSystem
 from .families import (
@@ -395,21 +402,7 @@ class SweepTables:
             for f in self.proper_masks
         }
 
-        xf: dict[int, list[int]] = {}
-        for f in sorted(range(1, self.nmasks), key=lambda m: m.bit_count()):
-            low = (f & -f).bit_length() - 1
-            rest = f & ~(1 << low)
-            pl = phis[low]
-            if rest == 0:
-                xf[f] = pl
-            else:
-                xr = xf[rest]
-                xf[f] = [xr[h] & pl[h] & pl[xr[h]] for h in range(size)]
-        full = self.full
-        self.jf = {
-            f: [(~xf[f][h] & full) | h for h in range(size)]
-            for f in range(1, self.nmasks)
-        }
+        _, self.jf = division_tables(model)
 
         self.lpi: dict[int, list[int]] = {}
         self.lim: dict[int, list[int]] = {}
@@ -483,22 +476,52 @@ def _biased_candidates(rng, n, k, count):
     """Seeded candidate families: alternately uniform draws and draws forced
     monotone over the direction-set lattice (a necessary condition for both
     characterisations, so uniform sampling alone would almost never hit a
-    valid family)."""
+    valid family).
+
+    Each draw is ``rng.randrange(2**n)`` written out: ``n + 1`` random bits,
+    redrawn while they reach ``2**n``.  That is the stream ``randrange``
+    itself consumes, so sampled sweeps stay replayable from their seed.
+    """
     size = 1 << n
+    bits = n + 1
+    getrandbits = rng.getrandbits
     nmasks = 1 << k
-    canon = canonical_masks(k)
+    covers = [
+        (m, [m & ~(1 << i) for i in range(k) if m >> i & 1])
+        for m in canonical_masks(k)
+    ]
     for j in range(count):
-        if j & 1:
-            yield tuple(rng.randrange(size) for _ in range(nmasks))
-            continue
         fam = [0] * nmasks
-        for m in canon:
+        if j & 1:
+            for m in range(nmasks):
+                r = getrandbits(bits)
+                while r >= size:
+                    r = getrandbits(bits)
+                fam[m] = r
+            yield tuple(fam)
+            continue
+        for m, lower in covers:
             below = 0
-            for i in range(k):
-                if m >> i & 1:
-                    below |= fam[m & ~(1 << i)]
-            fam[m] = below | (rng.randrange(size) & rng.randrange(size))
+            for low in lower:
+                below |= fam[low]
+            r = getrandbits(bits)
+            while r >= size:
+                r = getrandbits(bits)
+            r2 = getrandbits(bits)
+            while r2 >= size:
+                r2 = getrandbits(bits)
+            fam[m] = below | (r & r2)
         yield tuple(fam)
+
+
+def _check_table_limit(model: DirectionModel) -> None:
+    """Refuse, as a budget exit, a model too large for subset tables."""
+    if model.vertex_count > _TABLE_LIMIT:
+        raise BudgetExceededError(
+            f"sweeps need tables over every vertex subset, limited to "
+            f"{_TABLE_LIMIT} vertices; model has {model.vertex_count}",
+            {"vertices": model.vertex_count, "table_limit": _TABLE_LIMIT},
+        )
 
 
 def sweep_model(
@@ -517,8 +540,11 @@ def sweep_model(
     Returns mismatch records ``{"family": .., "t": .., "nt": ..,
     "contains_i_family": ..}``.  ``t_check``/``nt_check`` override the
     verdict functions (used by the harness self-test to prove the sweep can
-    see an injected fault).
+    see an injected fault).  Models above 16 vertices raise
+    :class:`BudgetExceededError` with stats ``{"vertices": n,
+    "table_limit": 16}``: the verdicts run on subset tables.
     """
+    _check_table_limit(model)
     tables = SweepTables(model)
     tv = (lambda fam: t_check(model, fam)) if t_check else tables.t_verdict
     nv = (lambda fam: nt_check(model, fam)) if nt_check else tables.nt_verdict
@@ -680,6 +706,12 @@ def property_suite(
     * ``positively_invariant_recovery``: for every positively invariant
       vertex set, the inverse-image intersection and the division ideal
       intersect back to the set itself.
+
+    The inclusions are read off the phi and division tables
+    (:func:`giideals.core.division_tables`), while invariance and monotonicity
+    go through the public checkers.  Like :func:`sweep_model`, models above
+    16 vertices raise :class:`BudgetExceededError` with stats
+    ``{"vertices": n, "table_limit": 16}``.
     """
     pairs = _resolve_models(corpus, models)
     reports: list[DiscrepancyReport] = []
@@ -697,13 +729,16 @@ def property_suite(
                 fp = model_fingerprint(model)
             reports.append(DiscrepancyReport(fp, claim, doc, datum, seed))
 
+        _check_table_limit(model)
+        phis = [model.phi_table(i) for i in range(1, model.rank + 1)]
+        xf_table, jf_table = division_tables(model)
         full_dirs = model.full_directions
         jf = j_family(model)
         for f in canonical_masks(model.rank):
             if f == full_dirs:
                 continue
             for i in free_directions(model, f):
-                lhs = model.phi(i, jf[f]) & jf[f | (1 << (i - 1))]
+                lhs = phis[i - 1][jf[f]] & jf[f | (1 << (i - 1))]
                 if lhs & ~jf[f]:
                     report(
                         "j_passdown",
@@ -722,21 +757,22 @@ def property_suite(
                 fam_doc = fam_doc or family_to_doc(model, fam)["sets"]
                 report("t_family_partially_ordered", {"family": fam_doc})
             for f in range(1, 1 << model.rank):
-                if fam[f] & ~jf_of(model, fam[0], f):
+                if fam[f] & ~jf_table[f][fam[0]]:
                     fam_doc = fam_doc or family_to_doc(model, fam)["sets"]
                     report(
                         "t_family_inside_division_bound",
                         {"family": fam_doc, "F": f},
                     )
 
+        recovery = [
+            (f, xf_table[f], jf_table[f]) for f in range(1, 1 << model.rank)
+        ]
         for h in range(model.full + 1):
-            if any(
-                h & ~model.phi(i, h) for i in range(1, model.rank + 1)
-            ):
+            if any(h & ~p[h] for p in phis):
                 continue
             counters["invariant_sets"] += 1
-            for f in range(1, 1 << model.rank):
-                if xf_inverse(model, h, f) & jf_of(model, h, f) != h:
+            for f, xf_row, jf_row in recovery:
+                if xf_row[h] & jf_row[h] != h:
                     report(
                         "positively_invariant_recovery",
                         {"H": list(model.names_of_set(h)), "F": f},
@@ -766,6 +802,27 @@ RANDOM_SCHEDULE = (
 
 BUILTIN_SEED = 20240501
 
+#: The exhaustive legs of the shipped corpus as ``(description, spec)``
+#: pairs: every commuting pair of partial maps on at most 3 points (685
+#: models) and every commuting pair of adjacency matrices with entries at
+#: most 2 on at most 2 vertices (752 models).
+EXHAUSTIVE_LEGS = (
+    (
+        "all commuting partial-map pairs on <= 3 points",
+        CorpusSpec(
+            kinds=("dynsys",), rank_min=2, rank_max=2,
+            vertices_min=1, vertices_max=3, exhaustive=True,
+        ),
+    ),
+    (
+        "all commuting matrix pairs (entries <= 2) on <= 2 vertices",
+        CorpusSpec(
+            kinds=("kgraph",), rank_min=2, rank_max=2,
+            vertices_min=1, vertices_max=2, max_mult=2, exhaustive=True,
+        ),
+    ),
+)
+
 
 def builtin_random_models(count: int = 200, seed: int = BUILTIN_SEED):
     """The seeded random leg of the shipped corpus."""
@@ -781,31 +838,12 @@ def builtin_random_models(count: int = 200, seed: int = BUILTIN_SEED):
 
 
 def builtin_corpus(random_count: int = 200, seed: int = BUILTIN_SEED):
-    """The shipped corpus: fixtures, two exhaustive small-model legs, and the
-    seeded random leg.
-
-    * every commuting pair of partial maps on at most 3 points (rank 2);
-    * every commuting pair of adjacency matrices with entries at most 2 on
-      at most 2 vertices (rank 2);
-    * ``random_count`` seeded random models of rank at most 3 on at most 5
-      vertices.
+    """The shipped corpus: fixtures, the two exhaustive small-model legs of
+    :data:`EXHAUSTIVE_LEGS`, and ``random_count`` seeded random models of
+    rank at most 3 on at most 5 vertices.
     """
     out = [(m, None) for m in fixtures.all_models()]
-    out.extend(
-        iter_corpus_models(
-            CorpusSpec(
-                kinds=("dynsys",), rank_min=2, rank_max=2,
-                vertices_min=1, vertices_max=3, exhaustive=True,
-            )
-        )
-    )
-    out.extend(
-        iter_corpus_models(
-            CorpusSpec(
-                kinds=("kgraph",), rank_min=2, rank_max=2,
-                vertices_min=1, vertices_max=2, max_mult=2, exhaustive=True,
-            )
-        )
-    )
+    for _, spec in EXHAUSTIVE_LEGS:
+        out.extend(iter_corpus_models(spec))
     out.extend(builtin_random_models(random_count, seed))
     return out

@@ -115,7 +115,7 @@ def is_invariant(model: DirectionModel, family) -> CheckReport:
     for f in canonical_masks(model.rank):
         subset = fam[f]
         for i in free_directions(model, f):
-            escaped = subset & ~model.phi(i, subset)
+            escaped = subset & ~model._phi(i, subset)
             if escaped:
                 v = (escaped & -escaped).bit_length() - 1
                 return CheckReport(
@@ -174,7 +174,7 @@ def is_t_family(model: DirectionModel, family) -> CheckReport:
             continue
         subset = fam[f]
         for i in free_directions(model, f):
-            rhs = model.phi(i, subset) & fam[f | (1 << (i - 1))]
+            rhs = model._phi(i, subset) & fam[f | (1 << (i - 1))]
             if rhs != subset:
                 diff = rhs ^ subset
                 return CheckReport(
@@ -276,12 +276,29 @@ def is_relative_o_family(model: DirectionModel, family, k_family) -> CheckReport
 # enumeration
 
 
-def _phi_lookup(model: DirectionModel):
-    """Per-direction phi as fast callables (tables when the model is small)."""
+class _PhiRow:
+    """``row[s] == model._phi(i, s)`` without a table behind it."""
+
+    __slots__ = ("model", "i")
+
+    def __init__(self, model: DirectionModel, i: int):
+        self.model = model
+        self.i = i
+
+    def __getitem__(self, subset: int) -> int:
+        return self.model._phi(self.i, subset)
+
+
+def _phi_lookup(model: DirectionModel) -> list:
+    """Per-direction phi rows, indexed ``rows[i - 1][s] == phi(i, s)``.
+
+    Up to 12 vertices the rows are the model's cached phi tables; above
+    that each row is a thin :class:`_PhiRow` that computes ``_phi`` per
+    lookup, so callers index either kind the same way.
+    """
     if model.vertex_count <= 12:
-        tables = {i: model.phi_table(i) for i in range(1, model.rank + 1)}
-        return lambda i, s: tables[i][s]
-    return lambda i, s: model._phi(i, s)
+        return [model.phi_table(i) for i in range(1, model.rank + 1)]
+    return [_PhiRow(model, i) for i in range(1, model.rank + 1)]
 
 
 def iter_t_families(
@@ -299,7 +316,8 @@ def iter_t_families(
     ``S -> AND_i (phi(i, S) & chosen[F + i])`` over free directions i, all of
     which lie below its greatest fixed point; subsets of the gfp are tried
     and kept when they satisfy each per-direction equation.  Every completed
-    family is verified before being yielded.
+    family is verified against the per-direction equations again before
+    being yielded.
 
     ``lower`` restricts the search to families containing it.  ``budget``
     bounds the number of candidate evaluations.  ``top_choices`` restricts
@@ -310,6 +328,12 @@ def iter_t_families(
     rank = model.rank
     nmasks = 1 << rank
     full_dirs = nmasks - 1
+    equations = [
+        (f, phi[i - 1], f | (1 << (i - 1)))
+        for f in canonical_masks(rank)
+        if f != full_dirs
+        for i in free_directions(model, f)
+    ]
     if lower is not None:
         lower = check_family(model, lower)
     if stats is None:
@@ -337,13 +361,13 @@ def iter_t_families(
                 if lb & ~s == 0:
                     yield s
             return
-        uppers = [(i, chosen[f | (1 << (i - 1))]) for i in free[f]]
+        uppers = [(phi[i - 1], chosen[f | (1 << (i - 1))]) for i in free[f]]
         # greatest fixed point of the pruning map
         g = model.full
         while True:
             nxt = g
-            for i, upper in uppers:
-                nxt &= phi(i, g) & upper
+            for p, upper in uppers:
+                nxt &= p[g] & upper
             if nxt == g:
                 break
             g = nxt
@@ -354,7 +378,7 @@ def iter_t_families(
         while True:
             s = lb | sub
             spend()
-            if all(phi(i, s) & upper == s for i, upper in uppers):
+            if all(p[s] & upper == s for p, upper in uppers):
                 yield s
             if sub == 0:
                 return
@@ -365,7 +389,7 @@ def iter_t_families(
     def descend(idx):
         if idx == nmasks:
             fam = tuple(chosen)
-            if is_t_family(model, fam).verdict:
+            if all(p[fam[f]] & fam[fi] == fam[f] for f, p, fi in equations):
                 stats["found"] += 1
                 yield fam
             return

@@ -30,7 +30,7 @@ from giideals import (
 )
 from giideals.core import BudgetExceededError
 from giideals.crossval import (
-    CorpusSpec,
+    EXHAUSTIVE_LEGS,
     builtin_random_models,
     iter_corpus_models,
 )
@@ -49,22 +49,7 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def corpus_legs():
-    leg_a = list(
-        iter_corpus_models(
-            CorpusSpec(
-                kinds=("dynsys",), rank_min=2, rank_max=2,
-                vertices_min=1, vertices_max=3, exhaustive=True,
-            )
-        )
-    )
-    leg_b = list(
-        iter_corpus_models(
-            CorpusSpec(
-                kinds=("kgraph",), rank_min=2, rank_max=2,
-                vertices_min=1, vertices_max=2, max_mult=2, exhaustive=True,
-            )
-        )
-    )
+    leg_a, leg_b = (list(iter_corpus_models(spec)) for _, spec in EXHAUSTIVE_LEGS)
     leg_c = builtin_random_models(200)
     return leg_a, leg_b, leg_c
 

@@ -296,6 +296,35 @@ def test_jobs_relative_enumeration_identical(capsys, fixture_dir, tmp_path):
     assert json.loads(out1)["count"] == 2
 
 
+def test_crosscheck_beyond_the_table_limit_is_a_budget_exit(capsys, tmp_path):
+    # a valid 18-vertex model: validate accepts it, so crosscheck must not
+    # call it invalid input; the sweep tables stop at 16 vertices
+    code, out, _ = run(
+        capsys,
+        "random", "--kind", "dynsys", "--rank", "1", "--vertices", "18",
+        "--seed", "1",
+    )
+    assert code == 0
+    path = tmp_path / "big.json"
+    path.write_text(out)
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out, _ = run(capsys, "crosscheck", str(path))
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "budget-exceeded",
+        "stats": {"vertices": 18, "table_limit": 16},
+    }
+
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({
+        "kinds": ["dynsys"], "rank_min": 1, "rank_max": 1,
+        "vertices_min": 17, "vertices_max": 17, "sample_count": 2,
+    }))
+    code, out, _ = run(capsys, "crosscheck", "--corpus", str(corpus), "--jobs", "2")
+    assert code == 3
+    assert json.loads(out)["stats"] == {"vertices": 17, "table_limit": 16}
+
+
 def test_jobs_crosscheck_deterministic(capsys, fixture_dir):
     args = ["crosscheck", "--corpus", fx(fixture_dir, "corpus_small.json")]
     _, out1, _ = run(capsys, *args)

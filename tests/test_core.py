@@ -22,7 +22,14 @@ from giideals import (
     xf_inverse,
 )
 from giideals import fixtures, oracles
-from giideals.core import canonical_masks, free_directions, mask_label, label_to_mask, mask_of
+from giideals.core import (
+    canonical_masks,
+    division_tables,
+    free_directions,
+    label_to_mask,
+    mask_label,
+    mask_of,
+)
 
 from helpers import model_and_subsets, names, small_models
 
@@ -266,6 +273,25 @@ def test_recovery_for_positively_invariant_sets():
                 continue
             for f in range(1, model.full_directions + 1):
                 assert xf_inverse(model, h, f) & jf_of(model, h, f) == h
+
+
+def assert_division_tables_match(model):
+    xf, jf = division_tables(model)
+    assert sorted(xf) == sorted(jf) == list(range(1, model.full_directions + 1))
+    for f in range(1, model.full_directions + 1):
+        for h in range(model.full + 1):
+            assert xf[f][h] == xf_inverse(model, h, f)
+            assert jf[f][h] == jf_of(model, h, f)
+
+
+def test_division_tables_match_public_operators_on_fixtures():
+    for model in fixtures.all_models():
+        assert_division_tables_match(model)
+
+
+@given(small_models(max_rank=3, max_vertices=4))
+def test_division_tables_match_public_operators_sampled(model):
+    assert_division_tables_match(model)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Verification harness: sweeps, the rank-1 pair oracle, random models."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,12 @@ from giideals import (
     random_model,
     theorem_a_sweep,
 )
-from giideals.crossval import SweepTables, builtin_random_models, sweep_model
+from giideals.crossval import (
+    SweepTables,
+    _biased_candidates,
+    builtin_random_models,
+    sweep_model,
+)
 from giideals.modelio import canonical_json
 from giideals import fixtures
 
@@ -107,6 +113,44 @@ def test_sweep_sampled_mode_is_deterministic():
     assert stats1 == stats2 == {"mode": "sampled", "candidates": 500}
 
 
+def _biased_candidates_by_randrange(rng, n, k, count):
+    # reference sampler: every draw through rng.randrange
+    size = 1 << n
+    nmasks = 1 << k
+    for j in range(count):
+        if j & 1:
+            yield tuple(rng.randrange(size) for _ in range(nmasks))
+            continue
+        fam = [0] * nmasks
+        for m in sorted(range(nmasks), key=lambda m: (m.bit_count(), m)):
+            below = 0
+            for i in range(k):
+                if m >> i & 1:
+                    below |= fam[m & ~(1 << i)]
+            fam[m] = below | (rng.randrange(size) & rng.randrange(size))
+        yield tuple(fam)
+
+
+@pytest.mark.parametrize("seed", [0, 9, 20240501])
+def test_sampler_draws_the_randrange_stream(seed):
+    # replayable reports depend on the sampled stream staying the same
+    for n in range(1, 6):
+        for k in range(1, 4):
+            got_rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = list(_biased_candidates(got_rng, n, k, 200))
+            assert got == list(_biased_candidates_by_randrange(ref_rng, n, k, 200))
+            assert got_rng.getstate() == ref_rng.getstate()
+
+
+def test_models_beyond_the_table_limit_are_a_budget_exit():
+    # the model is valid; only the subset tables do not fit
+    model = random_model("dynsys", 1, 18, seed=1)
+    for run in (sweep_model, lambda m: property_suite(models=[m])):
+        with pytest.raises(BudgetExceededError) as info:
+            run(model)
+        assert info.value.stats == {"vertices": 18, "table_limit": 16}
+
+
 # ---------------------------------------------------------------------------
 # rank-1 pair oracle
 
@@ -138,6 +182,15 @@ def test_katsura_equals_enumeration_on_fixtures_and_samples():
     assert any(m.rank == 1 for m in models)
     for model in models:
         assert katsura_oracle(model).families == enumerate_t_families(model).families
+
+
+def test_katsura_equals_enumeration_without_phi_tables():
+    # above 12 vertices the enumerator computes phi per lookup instead of
+    # reading the phi tables
+    model = random_model("dynsys", 1, 13, seed=4)
+    result = enumerate_t_families(model)
+    assert result.count == 8192
+    assert result.families == katsura_oracle(model).families
 
 
 # ---------------------------------------------------------------------------
