@@ -12,6 +12,7 @@ from .core import (
     InvalidInputError,
     MAX_VERTICES,
     canonical_masks,
+    direction_covers,
     free_directions,
     i_family,
     inv_set,
@@ -36,7 +37,7 @@ from .crossval import (
     random_model,
     theorem_a_sweep,
 )
-from .dynsys import PartialMapSystem, endo_inverse, load_dynsys
+from .dynsys import PartialMapSystem, load_dynsys
 from .families import (
     CheckReport,
     EnumerationResult,
@@ -50,7 +51,7 @@ from .families import (
     join,
     meet,
 )
-from .kgraph import KGraphSkeleton, load_kgraph, phi_generator, successors
+from .kgraph import KGraphSkeleton, load_kgraph, successors
 from .lattice import LatticeGraph, build_lattice, export_dot, export_json
 from .modelio import (
     family_from_doc,

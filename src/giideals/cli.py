@@ -44,7 +44,6 @@ from .modelio import (
     canonical_json,
     family_from_path,
     family_to_doc,
-    load_model,
     load_model_path,
     model_fingerprint,
     read_json,
@@ -195,10 +194,10 @@ def _cmd_family(args) -> int:
     return EXIT_OK if report.verdict else EXIT_CHECK_FAILED
 
 
-def _run_enumeration(model, model_path, relative_path, budget, jobs):
+def _run_enumeration(model, relative_path, budget, jobs):
     lower = family_from_path(model, relative_path) if relative_path else None
     if jobs > 1:
-        return _enumerate_parallel(model, model_path, lower, budget, jobs)
+        return _enumerate_parallel(model, lower, budget, jobs)
     if lower is None:
         return enumerate_t_families(model, budget=budget)
     return enumerate_relative_o(model, lower, budget=budget)
@@ -206,7 +205,7 @@ def _run_enumeration(model, model_path, relative_path, budget, jobs):
 
 def _cmd_enumerate(args) -> int:
     model = load_model_path(args.model)
-    result = _run_enumeration(model, args.model, args.relative, args.budget, args.jobs)
+    result = _run_enumeration(model, args.relative, args.budget, args.jobs)
     if args.count_only:
         print(result.count)
     else:
@@ -216,7 +215,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_lattice(args) -> int:
     model = load_model_path(args.model)
-    result = _run_enumeration(model, args.model, args.relative, args.budget, 1)
+    result = _run_enumeration(model, args.relative, args.budget, 1)
     lat = build_lattice(model, result)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -248,27 +247,11 @@ def _cmd_crosscheck(args) -> int:
         pairs = list(iter_corpus_models(spec))
         ceiling, samples = spec.candidate_ceiling, spec.candidate_samples
 
-    stats: dict = {"models": 0, "candidates": 0}
+    limits = (ceiling, samples)
     if args.jobs > 1 and len(pairs) > 1:
-        payloads = [
-            (
-                [(model.to_doc(), seed) for model, seed in pairs[w :: args.jobs]],
-                ceiling,
-                samples,
-            )
-            for w in range(args.jobs)
-        ]
-        payloads = [p for p in payloads if p[0]]
-        report_docs = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for docs, part_stats in pool.map(_crosscheck_worker, payloads):
-                report_docs.extend(docs)
-                stats["models"] += part_stats["models"]
-                stats["candidates"] += part_stats["candidates"]
+        report_docs, stats = _parallel(_crosscheck_worker, limits, pairs, args.jobs)
     else:
-        report_docs, part_stats = _crosscheck_models(pairs, ceiling, samples)
-        stats["models"] += part_stats["models"]
-        stats["candidates"] += part_stats["candidates"]
+        report_docs, stats = _crosscheck_worker(limits, pairs)
 
     report_docs.sort(key=lambda d: (d["fingerprint"], d["claim"]))
     for doc in report_docs:
@@ -281,7 +264,10 @@ def _cmd_crosscheck(args) -> int:
     return EXIT_OK if not report_docs else EXIT_CHECK_FAILED
 
 
-def _crosscheck_models(pairs, ceiling, samples):
+def _crosscheck_worker(limits, pairs):
+    """Sweep and property-check ``(model, seed)`` pairs; returns the report
+    documents and the sweep's ``models``/``candidates`` counters."""
+    ceiling, samples = limits
     stats: dict = {}
     reports = theorem_a_sweep(
         models=pairs,
@@ -291,12 +277,6 @@ def _crosscheck_models(pairs, ceiling, samples):
     )
     reports += property_suite(models=pairs)
     return [r.to_doc() for r in reports], stats
-
-
-def _crosscheck_worker(payload):
-    docs_seeds, ceiling, samples = payload
-    pairs = [(load_model(doc), seed) for doc, seed in docs_seeds]
-    return _crosscheck_models(pairs, ceiling, samples)
 
 
 def _cmd_random(args) -> int:
@@ -314,49 +294,50 @@ def _cmd_random(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parallel enumeration
+# the parallel path
 #
-# Work is partitioned deterministically (by the entry at the full direction
-# set) and results are merged and re-sorted canonically, so output does not
-# depend on the schedule.  The budget is global: the workers' candidate
-# counts are summed and checked against it (a worker also stops once its own
-# count exceeds it).  Without a lower bound the counts add up exactly to the
-# serial count, so the budget verdict does not depend on the worker count.
+# ``crosscheck --corpus`` strides its models over the workers and
+# ``enumerate`` strides the candidate entries at the full direction set.
+# Workers receive the models themselves; no phi table is built before
+# dispatch, so each pickle holds only the model's input data.  Partitions
+# are fixed by ``--jobs`` alone and each command re-sorts the merged
+# results canonically, so output does not depend on the schedule.  The
+# enumeration budget is global: the workers' candidate counts are summed
+# and checked against it (a worker also stops once its own count exceeds
+# it).  Without a lower bound the counts add up exactly to the serial
+# count, so the budget verdict does not depend on the worker count.
 
 
-def _enum_worker(payload):
-    path, lower, budget, tops = payload
-    model = load_model_path(path)
+def _parallel(worker, shared, items, jobs):
+    """Run ``worker(shared, items[w::jobs])`` for each worker ``w`` in a
+    process pool; concatenate the lists the workers return and sum their
+    counters."""
+    chunks = [chunk for chunk in (items[w::jobs] for w in range(jobs)) if chunk]
+    out: list = []
+    stats: dict = {}
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        for part, part_stats in pool.map(worker, [shared] * len(chunks), chunks):
+            out.extend(part)
+            for key, value in part_stats.items():
+                stats[key] = stats.get(key, 0) + value
+    return out, stats
+
+
+def _enum_worker(shared, tops):
+    model, lower, budget = shared
     stats: dict = {}
     fams = list(
         iter_t_families(
-            model,
-            lower=tuple(lower) if lower is not None else None,
-            budget=budget,
-            top_choices=tops,
-            stats=stats,
+            model, lower=lower, budget=budget, top_choices=tops, stats=stats
         )
     )
     return fams, stats
 
 
-def _enumerate_parallel(model, path, lower, budget, jobs):
-    size = 1 << model.vertex_count
+def _enumerate_parallel(model, lower, budget, jobs):
     lb = lower[model.full_directions] if lower is not None else 0
-    tops = [h for h in range(size) if lb & ~h == 0]
-    chunks = [tops[w::jobs] for w in range(jobs)]
-    payloads = [
-        (path, list(lower) if lower is not None else None, budget, chunk)
-        for chunk in chunks
-        if chunk
-    ]
-    fams = []
-    stats = {"candidates": 0, "found": 0}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part, part_stats in pool.map(_enum_worker, payloads):
-            fams.extend(part)
-            for key in stats:
-                stats[key] += part_stats[key]
+    tops = [h for h in range(1 << model.vertex_count) if lb & ~h == 0]
+    fams, stats = _parallel(_enum_worker, (model, lower, budget), tops, jobs)
     if stats["candidates"] > budget:
         raise BudgetExceededError(
             "enumeration budget exceeded", dict(stats, budget=budget)

@@ -105,6 +105,20 @@ def canonical_masks(rank: int) -> tuple[SubsetMask, ...]:
     return tuple(sorted(range(1 << rank), key=lambda m: (m.bit_count(), m)))
 
 
+@functools.cache
+def direction_covers(rank: int) -> tuple[tuple[SubsetMask, int, SubsetMask], ...]:
+    """Every cover ``(f, i, f | 1 << (i - 1))`` of the direction-set lattice,
+    ordered by ``f`` in canonical order, then by free direction ``i``
+    ascending; memoised.  The checkers walk covers in this order, so their
+    first witness is deterministic."""
+    return tuple(
+        (f, i, f | 1 << (i - 1))
+        for f in canonical_masks(rank)
+        for i in range(1, rank + 1)
+        if not f >> (i - 1) & 1
+    )
+
+
 def submasks(mask: SubsetMask) -> Iterator[SubsetMask]:
     """All submasks of ``mask``, descending, ending with 0."""
     sub = mask
@@ -122,8 +136,12 @@ def submasks(mask: SubsetMask) -> Iterator[SubsetMask]:
 class DirectionModel(abc.ABC):
     """Finite vertex set with ``rank`` commuting inverse-image operators.
 
-    Subclasses provide ``_phi`` and are expected to keep these invariants,
-    which the test suite checks exhaustively on small instances:
+    Subclasses validate their input, set ``deps`` and provide ``to_doc``.
+    ``deps[i - 1][v]`` is the vertex set that ``v``'s membership in
+    ``phi(i, .)`` depends on, so that ``phi(i, H) = {v : deps[i - 1][v] <= H}``.
+    Every such operator is monotone and preserves intersections; the
+    subclasses must keep the operators commuting.  The test suite checks
+    these invariants exhaustively on small instances:
 
     * monotone: ``H <= H'`` implies ``phi(i, H) <= phi(i, H')``;
     * intersection-preserving: ``phi(i, H & H') == phi(i, H) & phi(i, H')``;
@@ -132,6 +150,7 @@ class DirectionModel(abc.ABC):
 
     rank: int
     vertex_names: tuple[str, ...]
+    deps: tuple[tuple[VertexSet, ...], ...]
 
     def _init_base(self, rank: int, vertex_names) -> None:
         names = tuple(str(n) for n in vertex_names)
@@ -165,10 +184,9 @@ class DirectionModel(abc.ABC):
         return (1 << self.rank) - 1
 
     def vertex_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise InvalidInputError(f"unknown vertex name {name!r}") from None
+        if not isinstance(name, str) or name not in self._index:
+            raise InvalidInputError(f"unknown vertex name {name!r}")
+        return self._index[name]
 
     def set_of_names(self, names) -> VertexSet:
         out = 0
@@ -186,9 +204,15 @@ class DirectionModel(abc.ABC):
             self.vertex_names[v] for v in range(self.vertex_count) if subset >> v & 1
         )
 
-    @abc.abstractmethod
     def _phi(self, i: int, subset: VertexSet) -> VertexSet:
         """Inverse-image operator for direction ``i`` (1-based), unvalidated."""
+        out = 0
+        bit = 1
+        for dep in self.deps[i - 1]:
+            if dep & ~subset == 0:
+                out |= bit
+            bit <<= 1
+        return out
 
     def phi(self, i: int, subset: VertexSet) -> VertexSet:
         _check_direction(self, i)

@@ -32,6 +32,7 @@ from .core import (
     InvalidInputError,
     MAX_VERTICES,
     canonical_masks,
+    direction_covers,
     division_tables,
     free_directions,
     i_family,
@@ -99,6 +100,17 @@ class CorpusSpec:
         unknown = set(doc) - known
         if unknown:
             raise InvalidInputError(f"unknown corpus config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            if key == "kinds":
+                ok = isinstance(value, list) and all(isinstance(k, str) for k in value)
+            elif key == "exhaustive":
+                ok = isinstance(value, bool)
+            else:  # every other field is an integer
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            if not ok:
+                raise InvalidInputError(
+                    f"corpus config {key!r} has the wrong type: {value!r}"
+                )
         kwargs = dict(doc)
         if "kinds" in kwargs:
             kwargs["kinds"] = tuple(kwargs["kinds"])
@@ -379,22 +391,14 @@ class SweepTables:
         self.phis = phis
 
         canon = canonical_masks(k)
-        self.t_triples = [
-            (f, i - 1, f | (1 << (i - 1)))
-            for f in canon
-            if f != full_dirs
-            for i in free_directions(model, f)
-        ]
+        covers = direction_covers(k)
+        self.t_triples = [(f, i - 1, up) for f, i, up in covers]
         self.free_lists = [
             (f, [i - 1 for i in free_directions(model, f)])
             for f in canon
             if f != full_dirs
         ]
-        self.cover_pairs = [
-            (f, f | (1 << (i - 1)))
-            for f in canon
-            for i in free_directions(model, f)
-        ]
+        self.cover_pairs = [(f, up) for f, _, up in covers]
         self.nonzero_masks = [f for f in canon if f]
         self.proper_masks = [f for f in canon if 0 < f < full_dirs]
         self.strict_sups = {
@@ -732,18 +736,14 @@ def property_suite(
         _check_table_limit(model)
         phis = [model.phi_table(i) for i in range(1, model.rank + 1)]
         xf_table, jf_table = division_tables(model)
-        full_dirs = model.full_directions
         jf = j_family(model)
-        for f in canonical_masks(model.rank):
-            if f == full_dirs:
-                continue
-            for i in free_directions(model, f):
-                lhs = phis[i - 1][jf[f]] & jf[f | (1 << (i - 1))]
-                if lhs & ~jf[f]:
-                    report(
-                        "j_passdown",
-                        {"F": f, "i": i, "escaped": list(model.names_of_set(lhs & ~jf[f]))},
-                    )
+        for f, i, up in direction_covers(model.rank):
+            lhs = phis[i - 1][jf[f]] & jf[up]
+            if lhs & ~jf[f]:
+                report(
+                    "j_passdown",
+                    {"F": f, "i": i, "escaped": list(model.names_of_set(lhs & ~jf[f]))},
+                )
 
         for fam in itertools.islice(
             iter_t_families(model, budget=budget), family_cap

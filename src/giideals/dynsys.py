@@ -6,7 +6,8 @@ composition on its domain and zero elsewhere, which is the general form of a
 *-endomorphism of a finite commutative algebra in the chosen point basis.
 The semigroup property over multi-indices is enforced by generator
 commutation alone, since the free abelian monoid is determined by its
-generators.
+generators.  The model's ``deps`` are the preimages: ``deps[i - 1][v]`` is
+the set of points that ``T_i`` sends to ``v``.
 
 Commutation is checked in the strong pointwise sense: for every pair of
 directions and every point, the two composites must be both undefined or
@@ -15,7 +16,7 @@ both defined with equal values.
 
 from __future__ import annotations
 
-from .core import DirectionModel, InvalidInputError, VertexSet
+from .core import DirectionModel, InvalidInputError
 
 
 class PartialMapSystem(DirectionModel):
@@ -41,7 +42,7 @@ class PartialMapSystem(DirectionModel):
                 target = m.get(name)
                 if target is None:
                     row.append(None)
-                elif target in self._index:
+                elif isinstance(target, str) and target in self._index:
                     row.append(self._index[target])
                 else:
                     raise InvalidInputError(
@@ -50,24 +51,14 @@ class PartialMapSystem(DirectionModel):
             images.append(tuple(row))
         self.images = tuple(images)
         _check_commuting(self.images, self.vertex_names)
-        # preimage supports: pre[i-1][v] = {w : T_i(w) = v}
-        self._pre = tuple(
+        # preimages: deps[i-1][v] = {w : T_i(w) = v}
+        self.deps = tuple(
             tuple(
                 sum(1 << w for w in range(n) if img[w] == v) for v in range(n)
             )
             for img in self.images
         )
         self.note = None
-
-    def _phi(self, i: int, subset: int) -> int:
-        pre = self._pre[i - 1]
-        out = 0
-        bit = 1
-        for v in range(self.vertex_count):
-            if pre[v] & ~subset == 0:
-                out |= bit
-            bit <<= 1
-        return out
 
     def to_doc(self) -> dict:
         maps = []
@@ -120,9 +111,3 @@ def load_dynsys(doc) -> PartialMapSystem:
     if not isinstance(maps, list) or len(maps) != doc["rank"]:
         raise InvalidInputError('"maps" must list one partial map per direction')
     return PartialMapSystem(points, maps)
-
-
-def endo_inverse(model: PartialMapSystem, i: int, subset: VertexSet) -> VertexSet:
-    """The model's inverse-image operator: points whose whole preimage under
-    the direction-``i`` map lies inside ``subset``."""
-    return model.phi(i, subset)

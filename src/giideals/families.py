@@ -28,7 +28,7 @@ from .core import (
     InvalidInputError,
     canonical_masks,
     check_family,
-    free_directions,
+    direction_covers,
     i_family,
     inv_set,
     jf_of,
@@ -112,21 +112,16 @@ def is_invariant(model: DirectionModel, family) -> CheckReport:
     supported outside the index set.
     """
     fam = check_family(model, family)
-    for f in canonical_masks(model.rank):
+    for f, i, _ in direction_covers(model.rank):
         subset = fam[f]
-        for i in free_directions(model, f):
-            escaped = subset & ~model._phi(i, subset)
-            if escaped:
-                v = (escaped & -escaped).bit_length() - 1
-                return CheckReport(
-                    False,
-                    "invariance",
-                    {
-                        "F": mask_label(f),
-                        "i": i,
-                        "vertex": model.vertex_names[v],
-                    },
-                )
+        escaped = subset & ~model._phi(i, subset)
+        if escaped:
+            v = (escaped & -escaped).bit_length() - 1
+            return CheckReport(
+                False,
+                "invariance",
+                {"F": mask_label(f), "i": i, "vertex": model.vertex_names[v]},
+            )
     return CheckReport(True)
 
 
@@ -137,27 +132,17 @@ def is_partially_ordered(family, model: DirectionModel | None = None) -> CheckRe
     rank = nmasks.bit_length() - 1
     if nmasks != 1 << rank:
         raise InvalidInputError(f"family length {nmasks} is not a power of two")
-    for f in sorted(range(nmasks), key=lambda m: (m.bit_count(), m)):
-        for i in range(1, rank + 1):
-            bit = 1 << (i - 1)
-            if f & bit:
-                continue
-            missing = fam[f] & ~fam[f | bit]
-            if missing:
-                vertices = [
-                    v for v in range(missing.bit_length()) if missing >> v & 1
-                ]
-                if model is not None:
-                    vertices = [model.vertex_names[v] for v in vertices]
-                return CheckReport(
-                    False,
-                    "partial_order",
-                    {
-                        "F1": mask_label(f),
-                        "F2": mask_label(f | bit),
-                        "vertices": vertices,
-                    },
-                )
+    for f, _, up in direction_covers(rank):
+        missing = fam[f] & ~fam[up]
+        if missing:
+            vertices = [v for v in range(missing.bit_length()) if missing >> v & 1]
+            if model is not None:
+                vertices = [model.vertex_names[v] for v in vertices]
+            return CheckReport(
+                False,
+                "partial_order",
+                {"F1": mask_label(f), "F2": mask_label(up), "vertices": vertices},
+            )
     return CheckReport(True)
 
 
@@ -169,23 +154,19 @@ def is_t_family(model: DirectionModel, family) -> CheckReport:
     F + i.
     """
     fam = check_family(model, family)
-    for f in canonical_masks(model.rank):
-        if f == model.full_directions:
-            continue
+    for f, i, up in direction_covers(model.rank):
         subset = fam[f]
-        for i in free_directions(model, f):
-            rhs = model._phi(i, subset) & fam[f | (1 << (i - 1))]
-            if rhs != subset:
-                diff = rhs ^ subset
-                return CheckReport(
-                    False,
-                    "t_equation",
-                    {
-                        "F": mask_label(f),
-                        "i": i,
-                        "difference": list(model.names_of_set(diff)),
-                    },
-                )
+        rhs = model._phi(i, subset) & fam[up]
+        if rhs != subset:
+            return CheckReport(
+                False,
+                "t_equation",
+                {
+                    "F": mask_label(f),
+                    "i": i,
+                    "difference": list(model.names_of_set(rhs ^ subset)),
+                },
+            )
     return CheckReport(True)
 
 
@@ -328,12 +309,10 @@ def iter_t_families(
     rank = model.rank
     nmasks = 1 << rank
     full_dirs = nmasks - 1
-    equations = [
-        (f, phi[i - 1], f | (1 << (i - 1)))
-        for f in canonical_masks(rank)
-        if f != full_dirs
-        for i in free_directions(model, f)
-    ]
+    equations = [(f, phi[i - 1], up) for f, i, up in direction_covers(rank)]
+    covers_of: list[list] = [[] for _ in range(nmasks)]
+    for f, p, up in equations:
+        covers_of[f].append((p, up))
     if lower is not None:
         lower = check_family(model, lower)
     if stats is None:
@@ -342,7 +321,6 @@ def iter_t_families(
     stats.setdefault("found", 0)
 
     masks_desc = sorted(range(nmasks), key=lambda m: (-m.bit_count(), m))
-    free = {f: free_directions(model, f) for f in masks_desc}
     chosen = [0] * nmasks
 
     def spend():
@@ -361,7 +339,7 @@ def iter_t_families(
                 if lb & ~s == 0:
                     yield s
             return
-        uppers = [(phi[i - 1], chosen[f | (1 << (i - 1))]) for i in free[f]]
+        uppers = [(p, chosen[up]) for p, up in covers_of[f]]
         # greatest fixed point of the pruning map
         g = model.full
         while True:
@@ -472,27 +450,14 @@ def t_closure(model: DirectionModel, family) -> IdealFamily:
     * ``v in H_F`` implies ``dep_i(v) <= H_F``;
     * ``phi(i, H_F) & H_{F+i} <= H_F``;
 
-    where ``phi(i, H) = {v : dep_i(v) <= H}``.  That form is exact because
-    ``phi(i, .)`` preserves intersections and ``phi(i, V) = V``, so
-    ``u in dep_i(v)`` iff ``v`` is missing from ``phi(i, V - {u})``.  The
-    rules only ever add vertices, so iterating them to a fixed point gives
-    the least closed family, the all-V family being closed.
+    where ``phi(i, H) = {v : dep_i(v) <= H}`` and ``dep_i`` is
+    ``model.deps[i - 1]``.  The rules only ever add vertices, so iterating
+    them to a fixed point gives the least closed family, the all-V family
+    being closed.
     """
     fam = list(check_family(model, family))
-    full = model.full
-    deps = []
-    for i in range(1, model.rank + 1):
-        images = [model._phi(i, full & ~(1 << u)) for u in range(model.vertex_count)]
-        deps.append(
-            [
-                sum(1 << u for u, img in enumerate(images) if not img >> v & 1)
-                for v in range(model.vertex_count)
-            ]
-        )
     steps = [
-        (f, f | (1 << (i - 1)), i, deps[i - 1])
-        for f in canonical_masks(model.rank)
-        for i in free_directions(model, f)
+        (f, up, i, model.deps[i - 1]) for f, i, up in direction_covers(model.rank)
     ]
     changed = True
     while changed:

@@ -7,11 +7,13 @@ counts are stored, never factorisation data: every quantity the family
 calculus needs depends on the per-vertex source sets alone, and those are
 determined by the commuting matrices.
 
-Multiplicities larger than one are accepted and kept for fidelity of the
-input, but only supports matter to the inverse-image operators.  For rank
-three and above, commuting matrices are accepted even though not every such
-tuple arises from an actual coloured-graph factorisation; validation flags
-these as skeleton-level models.
+The model's ``deps`` are these source sets: ``deps[i - 1][v]`` is the
+support of row ``v`` of ``M_i``.  Multiplicities larger than one are
+accepted and kept for fidelity of the input, but only supports matter to
+the inverse-image operators.  For rank three and above, commuting matrices
+are accepted even though not every such tuple arises from an actual
+coloured-graph factorisation; validation flags these as skeleton-level
+models.
 
 Duplicate vertex names are rejected (matrices are indexed positionally).
 """
@@ -45,24 +47,14 @@ class KGraphSkeleton(DirectionModel):
                         )
         _check_commuting(matrices, self.vertex_names)
         self.adjacency = matrices
-        # per-direction source supports: succ[i-1][v] = {w : M_i[v][w] > 0}
-        self._succ = tuple(
+        # source supports: deps[i-1][v] = {w : M_i[v][w] > 0}
+        self.deps = tuple(
             tuple(
                 sum(1 << w for w in range(n) if mat[v][w] > 0) for v in range(n)
             )
             for mat in matrices
         )
         self.note = SKELETON_NOTE if self.rank >= 3 else None
-
-    def _phi(self, i: int, subset: int) -> int:
-        succ = self._succ[i - 1]
-        out = 0
-        bit = 1
-        for v in range(self.vertex_count):
-            if succ[v] & ~subset == 0:
-                out |= bit
-            bit <<= 1
-        return out
 
     def to_doc(self) -> dict:
         return {
@@ -129,10 +121,4 @@ def successors(model: KGraphSkeleton, v, i: int) -> VertexSet:
         raise InvalidInputError(f"vertex index {v!r} out of range")
     if not 1 <= i <= model.rank:
         raise InvalidInputError(f"direction {i!r} out of range 1..{model.rank}")
-    return model._succ[i - 1][v]
-
-
-def phi_generator(model: KGraphSkeleton, i: int, subset: VertexSet) -> VertexSet:
-    """The model's inverse-image operator: vertices all of whose degree-``i``
-    sources lie inside ``subset``."""
-    return model.phi(i, subset)
+    return model.deps[i - 1][v]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from giideals.cli import main
 from giideals.cli import run as cli_run
 
@@ -366,3 +368,42 @@ def test_family_file_validation(capsys, fixture_dir, tmp_path):
     )
     assert code == 2
     assert "keys mismatch" in err
+
+
+@pytest.mark.parametrize("target", [["q"], {"x": 1}], ids=["list", "object"])
+def test_validate_rejects_a_non_string_map_target(capsys, tmp_path, target):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(
+        {"kind": "dynsys", "rank": 1, "points": ["p", "q"], "maps": [{"p": target}]}
+    ))
+    code, out, err = run(capsys, "validate", str(model))
+    assert code == 2
+    assert out == ""
+    assert "unknown point" in err
+
+
+def test_family_check_rejects_a_non_string_vertex_name(capsys, fixture_dir, tmp_path):
+    bad = tmp_path / "fam.json"
+    bad.write_text(json.dumps({"rank": 2, "sets": {"": [["p"]], "1": [], "2": [], "1,2": []}}))
+    code, out, err = run(
+        capsys,
+        "family", "check", fx(fixture_dir, "absorb2.json"), str(bad),
+        "--mode", "t",
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown vertex name" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"rank_min": "1"}, {"kinds": 5}, {"exhaustive": "no"}],
+    ids=["string-bound", "number-kinds", "string-exhaustive"],
+)
+def test_corpus_config_fields_are_type_checked(capsys, tmp_path, config):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(config))
+    code, out, err = run(capsys, "crosscheck", "--corpus", str(corpus))
+    assert code == 2
+    assert out == ""
+    assert "wrong type" in err

@@ -11,7 +11,7 @@ from giideals import (
     j_family,
     load_dynsys,
 )
-from giideals.dynsys import PartialMapSystem, endo_inverse
+from giideals.dynsys import PartialMapSystem
 from giideals import fixtures
 
 from helpers import names
@@ -77,14 +77,14 @@ def test_load_rejects_schema_violations():
 
 def test_endo_inverse_shift2_kernel():
     model = fixtures.shift2()
-    assert names(model, endo_inverse(model, 1, 0)) == {"v2"}
+    assert names(model, model.phi(1, 0)) == {"v2"}
 
 
 def test_endo_inverse_absorb2():
     model = fixtures.absorb2()
     p = model.set_of_names(["p"])
-    assert endo_inverse(model, 2, p) == p
-    assert endo_inverse(model, 1, model.full) == model.full
+    assert model.phi(2, p) == p
+    assert model.phi(1, model.full) == model.full
 
 
 def test_shift2_annihilator_family_not_invariant():

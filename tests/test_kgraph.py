@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from giideals import InvalidInputError, load_kgraph, phi_n, successors
-from giideals.kgraph import KGraphSkeleton, SKELETON_NOTE, phi_generator
+from giideals.kgraph import KGraphSkeleton, SKELETON_NOTE
 from giideals import fixtures, oracles
 
 from helpers import names, small_models
@@ -127,9 +127,9 @@ def test_phi_generator_funnel2():
     model = fixtures.funnel2()
     w = model.set_of_names(["w"])
     u = model.set_of_names(["u"])
-    assert phi_generator(model, 1, w) == model.full
-    assert phi_generator(model, 1, u) == 0
-    assert phi_generator(model, 1, model.full) == model.full
+    assert model.phi(1, w) == model.full
+    assert model.phi(1, u) == 0
+    assert model.phi(1, model.full) == model.full
 
 
 def test_phi_of_empty_set_is_zero_rows():
