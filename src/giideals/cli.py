@@ -30,10 +30,7 @@ from .crossval import (
 )
 from .families import (
     DEFAULT_BUDGET,
-    EnumerationResult,
-    enumerate_relative_o,
-    enumerate_t_families,
-    family_sort_key,
+    enumeration_result,
     is_nt_tuple,
     is_relative_o_family,
     is_t_family,
@@ -196,11 +193,15 @@ def _cmd_family(args) -> int:
 
 def _run_enumeration(model, relative_path, budget, jobs):
     lower = family_from_path(model, relative_path) if relative_path else None
+    shared = (model, lower, budget)
+    tops = range(1 << model.vertex_count)
     if jobs > 1:
-        return _enumerate_parallel(model, lower, budget, jobs)
-    if lower is None:
-        return enumerate_t_families(model, budget=budget)
-    return enumerate_relative_o(model, lower, budget=budget)
+        fams, stats = _parallel(_enum_worker, shared, tops, jobs)
+    else:
+        fams, stats = _enum_worker(shared, tops)
+    if stats["candidates"] > budget:
+        raise BudgetExceededError("enumeration budget exceeded", {"budget": budget})
+    return enumeration_result(model, fams, lower, stats)
 
 
 def _cmd_enumerate(args) -> int:
@@ -297,15 +298,13 @@ def _cmd_random(args) -> int:
 # the parallel path
 #
 # ``crosscheck --corpus`` strides its models over the workers and
-# ``enumerate`` strides the candidate entries at the full direction set.
-# Workers receive the models themselves; no phi table is built before
-# dispatch, so each pickle holds only the model's input data.  Partitions
-# are fixed by ``--jobs`` alone and each command re-sorts the merged
-# results canonically, so output does not depend on the schedule.  The
-# enumeration budget is global: the workers' candidate counts are summed
-# and checked against it (a worker also stops once its own count exceeds
-# it).  Without a lower bound the counts add up exactly to the serial
-# count, so the budget verdict does not depend on the worker count.
+# ``enumerate`` strides the entries at the full direction set (a lazy
+# ``range`` slice each); ``--jobs 1`` runs the same worker in-process.
+# Workers receive the models themselves, so each pickle holds only input
+# data.  Each command re-sorts the merged results canonically, so output
+# does not depend on the schedule.  The enumeration budget is checked once,
+# on the summed candidate count, which equals the serial count; the budget
+# exit reports only the budget, since partial counters depend on the schedule.
 
 
 def _parallel(worker, shared, items, jobs):
@@ -324,30 +323,14 @@ def _parallel(worker, shared, items, jobs):
 
 
 def _enum_worker(shared, tops):
+    """The families whose full-direction entry is in ``tops``, and the
+    counters; past the budget none, so the check on the sum fails."""
     model, lower, budget = shared
     stats: dict = {}
-    fams = list(
-        iter_t_families(
-            model, lower=lower, budget=budget, top_choices=tops, stats=stats
-        )
-    )
-    return fams, stats
-
-
-def _enumerate_parallel(model, lower, budget, jobs):
-    lb = lower[model.full_directions] if lower is not None else 0
-    tops = [h for h in range(1 << model.vertex_count) if lb & ~h == 0]
-    fams, stats = _parallel(_enum_worker, (model, lower, budget), tops, jobs)
-    if stats["candidates"] > budget:
-        raise BudgetExceededError(
-            "enumeration budget exceeded", dict(stats, budget=budget)
-        )
-    fams.sort(key=lambda fam: family_sort_key(model, fam))
-    if lower is None:
-        mode = "T"
-    else:
-        mode = "O" if tuple(lower) == i_family(model) else "relative_O"
-    return EnumerationResult(tuple(fams), len(fams), mode, stats)
+    try:
+        return list(iter_t_families(model, lower, budget, tops, stats)), stats
+    except BudgetExceededError:
+        return [], stats
 
 
 if __name__ == "__main__":

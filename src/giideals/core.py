@@ -276,9 +276,65 @@ def check_family(model: DirectionModel, family) -> IdealFamily:
     return fam
 
 
+def _is_int(value) -> bool:
+    """An ``int`` and not a ``bool``: JSON ``true`` loads as a ``bool``,
+    which Python counts as the integer 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def free_directions(model: DirectionModel, f: SubsetMask) -> tuple[int, ...]:
     """1-based directions outside the direction set ``f``."""
     return tuple(i for i in range(1, model.rank + 1) if not f >> (i - 1) & 1)
+
+
+class _PhiRow:
+    """``row[s] == model._phi(i, s)`` without a table behind it."""
+
+    __slots__ = ("model", "i")
+
+    def __init__(self, model: DirectionModel, i: int):
+        self.model = model
+        self.i = i
+
+    def __getitem__(self, subset: int) -> int:
+        return self.model._phi(self.i, subset)
+
+
+def _phi_lookup(model: DirectionModel) -> list:
+    """Per-direction phi rows, indexed ``rows[i - 1][s] == phi(i, s)``.
+
+    Up to 12 vertices the rows are the model's cached phi tables; above
+    that each row is a thin :class:`_PhiRow` that computes ``_phi`` per
+    lookup, so callers index either kind the same way.
+    """
+    if model.vertex_count <= 12:
+        return [model.phi_table(i) for i in range(1, model.rank + 1)]
+    return [_PhiRow(model, i) for i in range(1, model.rank + 1)]
+
+
+def _gfp_meet(rows, k0: VertexSet) -> VertexSet:
+    """Greatest subset of ``k0`` closed under every phi row (``row[s] ==
+    phi(i, s)``): the greatest fixed point of ``S -> k0 & AND row[S]``."""
+    s = k0
+    while True:
+        t = s
+        for row in rows:
+            t &= row[s]
+        if t == s:
+            return s
+        s = t
+
+
+def _lfp_join(rows, k0: VertexSet) -> VertexSet:
+    """Least fixed point of ``S -> k0 | OR row[S]`` over phi rows."""
+    s = k0
+    while True:
+        t = k0
+        for row in rows:
+            t |= row[s]
+        if t == s:
+            return s
+        s = t
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +394,12 @@ def largest_perp_invariant(
     reaches it in at most ``|V|`` steps.  Equivalently, the intersection of
     all composite inverse images of ``k0`` along degrees supported outside
     ``f`` (the bounded-intersection oracle in :mod:`giideals.oracles` checks
-    this equivalence on small models).
+    this equivalence on small models).  The loop is :func:`_gfp_meet`,
+    shared with the sweep tables, here over rows that compute ``_phi``.
     """
     _check_subset(model, k0)
     _check_fmask(model, f)
-    free = free_directions(model, f)
-    s = k0
-    while True:
-        t = s
-        for i in free:
-            t &= model._phi(i, s)
-        if t == s:
-            return s
-        s = t
+    return _gfp_meet([_PhiRow(model, i) for i in free_directions(model, f)], k0)
 
 
 def i_family(model: DirectionModel) -> IdealFamily:
@@ -449,17 +498,10 @@ def lim_set(model: DirectionModel, subset: VertexSet, f: SubsetMask) -> VertexSe
     family ``phi_n(K, n)`` increases along the directed order of degrees, and
     its union -- the set described by the contract -- is what the iteration
     reaches.  The bounded-degree oracle in :mod:`giideals.oracles` checks the
-    contract directly on small models.
+    contract directly on small models.  Both loops (:func:`_gfp_meet`,
+    :func:`_lfp_join`) are shared with the sweep tables.
     """
     _check_subset(model, subset)
     _check_fmask(model, f, nonempty=True, proper=True)
-    k0 = largest_perp_invariant(model, subset, f)
-    free = free_directions(model, f)
-    s = k0
-    while True:
-        t = k0
-        for i in free:
-            t |= model._phi(i, s)
-        if t == s:
-            return s
-        s = t
+    rows = [_PhiRow(model, i) for i in free_directions(model, f)]
+    return _lfp_join(rows, _gfp_meet(rows, subset))

@@ -27,6 +27,9 @@ from dataclasses import dataclass
 from . import fixtures
 from .core import (
     _TABLE_LIMIT,
+    _gfp_meet,
+    _is_int,
+    _lfp_join,
     BudgetExceededError,
     DirectionModel,
     InvalidInputError,
@@ -41,9 +44,8 @@ from .core import (
 )
 from .dynsys import PartialMapSystem
 from .families import (
-    DEFAULT_BUDGET,
     EnumerationResult,
-    family_sort_key,
+    enumeration_result,
     is_invariant,
     is_partially_ordered,
     iter_t_families,
@@ -54,6 +56,12 @@ from .modelio import family_to_doc, model_fingerprint
 #: Candidate-space size above which sweeps sample instead of exhausting.
 DEFAULT_CANDIDATE_CEILING = 1 << 24
 DEFAULT_CANDIDATE_SAMPLES = 20_000
+
+#: Mismatches recorded per model before a sweep stops looking.
+REPORT_CAP = 50
+
+#: Enumerated fixed-point families the property suite checks per model.
+FAMILY_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ class CorpusSpec:
             elif key == "exhaustive":
                 ok = isinstance(value, bool)
             else:  # every other field is an integer
-                ok = isinstance(value, int) and not isinstance(value, bool)
+                ok = _is_int(value)
             if not ok:
                 raise InvalidInputError(
                     f"corpus config {key!r} has the wrong type: {value!r}"
@@ -376,17 +384,17 @@ class SweepTables:
 
     Everything is precomputed per model over all subsets, so each verdict is
     a handful of list lookups and bit tests; sweeps over millions of
-    candidate families stay cheap.
+    candidate families stay cheap.  The division tables come from
+    :func:`giideals.core.division_tables`; the ``lpi``/``lim`` tables run the
+    fixed-point loops of ``largest_perp_invariant``/``lim_set`` on phi tables.
     """
 
     def __init__(self, model: DirectionModel):
         self.model = model
         k = model.rank
-        n = model.vertex_count
         self.full = model.full
         self.nmasks = 1 << k
         full_dirs = self.nmasks - 1
-        size = 1 << n
         phis = [model.phi_table(i) for i in range(1, k + 1)]
         self.phis = phis
 
@@ -411,32 +419,10 @@ class SweepTables:
         self.lpi: dict[int, list[int]] = {}
         self.lim: dict[int, list[int]] = {}
         for f in self.proper_masks:
-            frees = [i - 1 for i in free_directions(model, f)]
-            lpi_table = []
-            for k0 in range(size):
-                s = k0
-                while True:
-                    t = s
-                    for i0 in frees:
-                        t &= phis[i0][s]
-                    if t == s:
-                        break
-                    s = t
-                lpi_table.append(s)
-            self.lpi[f] = lpi_table
-            lim_table = []
-            for h in range(size):
-                k0 = lpi_table[h]
-                s = k0
-                while True:
-                    t = k0
-                    for i0 in frees:
-                        t |= phis[i0][s]
-                    if t == s:
-                        break
-                    s = t
-                lim_table.append(s)
-            self.lim[f] = lim_table
+            rows = [phis[i - 1] for i in free_directions(model, f)]
+            lpi = [_gfp_meet(rows, k0) for k0 in range(1 << model.vertex_count)]
+            self.lpi[f] = lpi
+            self.lim[f] = [_lfp_join(rows, k0) for k0 in lpi]
 
         self.i_family = tuple(i_family(model))
 
@@ -535,23 +521,21 @@ def sweep_model(
     candidate_samples: int = DEFAULT_CANDIDATE_SAMPLES,
     rng_seed: int = 0,
     t_check=None,
-    nt_check=None,
-    report_cap: int = 50,
     stats: dict | None = None,
 ) -> list[dict]:
     """Compare the two verdicts on every candidate family of one model.
 
-    Returns mismatch records ``{"family": .., "t": .., "nt": ..,
-    "contains_i_family": ..}``.  ``t_check``/``nt_check`` override the
-    verdict functions (used by the harness self-test to prove the sweep can
-    see an injected fault).  Models above 16 vertices raise
+    Returns up to :data:`REPORT_CAP` mismatch records ``{"family": .., "t":
+    .., "nt": .., "contains_i_family": ..}``.  ``t_check`` overrides the
+    fixed-point verdict (used by the harness self-test to prove the sweep
+    can see an injected fault).  Models above 16 vertices raise
     :class:`BudgetExceededError` with stats ``{"vertices": n,
     "table_limit": 16}``: the verdicts run on subset tables.
     """
     _check_table_limit(model)
     tables = SweepTables(model)
     tv = (lambda fam: t_check(model, fam)) if t_check else tables.t_verdict
-    nv = (lambda fam: nt_check(model, fam)) if nt_check else tables.nt_verdict
+    nv = tables.nt_verdict
     size = 1 << model.vertex_count
     space = size ** tables.nmasks
     mismatches: list[dict] = []
@@ -577,7 +561,7 @@ def sweep_model(
                     "contains_i_family": tables.contains_i_family(fam),
                 }
             )
-            if len(mismatches) >= report_cap:
+            if len(mismatches) >= REPORT_CAP:
                 break
     if stats is not None:
         stats["mode"] = mode
@@ -600,7 +584,6 @@ def theorem_a_sweep(
     *,
     models=None,
     t_check=None,
-    nt_check=None,
     candidate_ceiling: int | None = None,
     candidate_samples: int | None = None,
     stats: dict | None = None,
@@ -629,7 +612,6 @@ def theorem_a_sweep(
             candidate_samples=samples,
             rng_seed=seed if seed is not None else 0,
             t_check=t_check,
-            nt_check=nt_check,
             stats=per_model,
         )
         total["models"] += 1
@@ -681,8 +663,7 @@ def katsura_oracle(model: DirectionModel) -> EnumerationResult:
             if sub == 0:
                 break
             sub = (sub - 1) & loose
-    pairs.sort(key=lambda fam: family_sort_key(model, fam))
-    return EnumerationResult(tuple(pairs), len(pairs), "T")
+    return enumeration_result(model, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +674,6 @@ def property_suite(
     corpus: CorpusSpec | None = None,
     *,
     models=None,
-    family_cap: int = 400,
-    budget: int | None = DEFAULT_BUDGET,
     stats: dict | None = None,
 ) -> list[DiscrepancyReport]:
     """Evaluate the supporting inclusions on every model of a corpus.
@@ -705,7 +684,7 @@ def property_suite(
       inverse-image step against its covers;
     * ``t_family_invariant`` / ``t_family_partially_ordered`` /
       ``t_family_inside_division_bound``: every enumerated fixed-point
-      family (up to ``family_cap`` per model) is invariant, monotone, and
+      family (up to :data:`FAMILY_CAP` per model) is invariant, monotone, and
       sits inside the division ideal of its empty entry;
     * ``positively_invariant_recovery``: for every positively invariant
       vertex set, the inverse-image intersection and the division ideal
@@ -746,7 +725,7 @@ def property_suite(
                 )
 
         for fam in itertools.islice(
-            iter_t_families(model, budget=budget), family_cap
+            iter_t_families(model), FAMILY_CAP
         ):
             counters["families"] += 1
             fam_doc = None

@@ -16,7 +16,7 @@ both defined with equal values.
 
 from __future__ import annotations
 
-from .core import DirectionModel, InvalidInputError
+from .core import DirectionModel, InvalidInputError, _is_int
 
 
 class PartialMapSystem(DirectionModel):
@@ -108,6 +108,8 @@ def load_dynsys(doc) -> PartialMapSystem:
     maps = doc["maps"]
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise InvalidInputError('"points" must be a list of names')
+    if not _is_int(doc["rank"]):
+        raise InvalidInputError('"rank" must be an integer')
     if not isinstance(maps, list) or len(maps) != doc["rank"]:
         raise InvalidInputError('"maps" must list one partial map per direction')
     return PartialMapSystem(points, maps)

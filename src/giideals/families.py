@@ -26,6 +26,8 @@ from .core import (
     IdealFamily,
     InternalConsistencyError,
     InvalidInputError,
+    _gfp_meet,
+    _phi_lookup,
     canonical_masks,
     check_family,
     direction_covers,
@@ -98,6 +100,24 @@ class EnumerationResult:
 def family_sort_key(model: DirectionModel, fam: IdealFamily):
     """Concatenated-bitmask key; direction masks in canonical order."""
     return tuple(fam[m] for m in canonical_masks(model.rank))
+
+
+def enumeration_result(
+    model: DirectionModel,
+    families,
+    lower: IdealFamily | None = None,
+    stats: dict | None = None,
+) -> EnumerationResult:
+    """The families sorted canonically.  Mode is "T" without a bound, "O"
+    when the bound is the model's canonical family (so the result
+    parametrises the boundary quotient), "relative_O" otherwise.  ``stats``
+    is read after ``families`` is consumed, so it may be the generator's."""
+    fams = sorted(families, key=lambda fam: family_sort_key(model, fam))
+    if lower is None:
+        mode = "T"
+    else:
+        mode = "O" if tuple(lower) == i_family(model) else "relative_O"
+    return EnumerationResult(tuple(fams), len(fams), mode, stats or {})
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +277,6 @@ def is_relative_o_family(model: DirectionModel, family, k_family) -> CheckReport
 # enumeration
 
 
-class _PhiRow:
-    """``row[s] == model._phi(i, s)`` without a table behind it."""
-
-    __slots__ = ("model", "i")
-
-    def __init__(self, model: DirectionModel, i: int):
-        self.model = model
-        self.i = i
-
-    def __getitem__(self, subset: int) -> int:
-        return self.model._phi(self.i, subset)
-
-
-def _phi_lookup(model: DirectionModel) -> list:
-    """Per-direction phi rows, indexed ``rows[i - 1][s] == phi(i, s)``.
-
-    Up to 12 vertices the rows are the model's cached phi tables; above
-    that each row is a thin :class:`_PhiRow` that computes ``_phi`` per
-    lookup, so callers index either kind the same way.
-    """
-    if model.vertex_count <= 12:
-        return [model.phi_table(i) for i in range(1, model.rank + 1)]
-    return [_PhiRow(model, i) for i in range(1, model.rank + 1)]
-
-
 def iter_t_families(
     model: DirectionModel,
     lower: IdealFamily | None = None,
@@ -301,9 +296,11 @@ def iter_t_families(
     being yielded.
 
     ``lower`` restricts the search to families containing it.  ``budget``
-    bounds the number of candidate evaluations.  ``top_choices`` restricts
-    the entry at the full direction set (used to partition work across
-    workers).  ``stats`` (if given) accumulates progress counters.
+    bounds the number of candidate evaluations.  ``top_choices`` is any
+    iterable of entries at the full direction set, such as a slice of
+    ``range(1 << n)`` (the default); each top spends one candidate, so the
+    counts of disjoint slices add up.  ``stats`` (if given) accumulates
+    the counters.
     """
     phi = _phi_lookup(model)
     rank = model.rank
@@ -321,6 +318,7 @@ def iter_t_families(
     stats.setdefault("found", 0)
 
     masks_desc = sorted(range(nmasks), key=lambda m: (-m.bit_count(), m))
+    tops = range(1 << model.vertex_count) if top_choices is None else top_choices
     chosen = [0] * nmasks
 
     def spend():
@@ -333,22 +331,18 @@ def iter_t_families(
     def candidates(f):
         lb = lower[f] if lower is not None else 0
         if f == full_dirs:
-            space = chosen_top if top_choices is not None else range(1 << model.vertex_count)
-            for s in space:
+            for s in tops:
                 spend()
                 if lb & ~s == 0:
                     yield s
             return
         uppers = [(p, chosen[up]) for p, up in covers_of[f]]
-        # greatest fixed point of the pruning map
-        g = model.full
-        while True:
-            nxt = g
-            for p, upper in uppers:
-                nxt &= p[g] & upper
-            if nxt == g:
-                break
-            g = nxt
+        # greatest fixed point of the pruning map: the greatest subset of
+        # the upper entries' meet that every free phi row keeps
+        meet_up = model.full
+        for _, upper in uppers:
+            meet_up &= upper
+        g = _gfp_meet([p for p, _ in uppers], meet_up)
         if lb & ~g:
             return
         loose = g & ~lb
@@ -361,8 +355,6 @@ def iter_t_families(
             if sub == 0:
                 return
             sub = (sub - 1) & loose
-
-    chosen_top = list(top_choices) if top_choices is not None else None
 
     def descend(idx):
         if idx == nmasks:
@@ -380,40 +372,24 @@ def iter_t_families(
 
 
 def enumerate_t_families(
-    model: DirectionModel,
-    budget: int | None = DEFAULT_BUDGET,
-    top_choices=None,
+    model: DirectionModel, budget: int | None = DEFAULT_BUDGET
 ) -> EnumerationResult:
     """All families satisfying the per-direction equations, canonical order."""
     stats: dict = {}
-    fams = sorted(
-        iter_t_families(model, budget=budget, top_choices=top_choices, stats=stats),
-        key=lambda fam: family_sort_key(model, fam),
+    return enumeration_result(
+        model, iter_t_families(model, budget=budget, stats=stats), stats=stats
     )
-    return EnumerationResult(tuple(fams), len(fams), "T", stats)
 
 
 def enumerate_relative_o(
-    model: DirectionModel,
-    k_family,
-    budget: int | None = DEFAULT_BUDGET,
-    top_choices=None,
+    model: DirectionModel, k_family, budget: int | None = DEFAULT_BUDGET
 ) -> EnumerationResult:
-    """All fixed-point families containing ``k_family``, canonical order.
-
-    Mode is "O" when the bound is the model's canonical family (so the result
-    parametrises the boundary quotient), "relative_O" otherwise.
-    """
+    """All fixed-point families containing ``k_family``, canonical order,
+    with the mode :func:`enumeration_result` names."""
     bound = check_family(model, k_family)
     stats: dict = {}
-    fams = sorted(
-        iter_t_families(
-            model, lower=bound, budget=budget, top_choices=top_choices, stats=stats
-        ),
-        key=lambda fam: family_sort_key(model, fam),
-    )
-    mode = "O" if bound == i_family(model) else "relative_O"
-    return EnumerationResult(tuple(fams), len(fams), mode, stats)
+    fams = iter_t_families(model, lower=bound, budget=budget, stats=stats)
+    return enumeration_result(model, fams, bound, stats)
 
 
 # ---------------------------------------------------------------------------

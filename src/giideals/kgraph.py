@@ -20,7 +20,7 @@ Duplicate vertex names are rejected (matrices are indexed positionally).
 
 from __future__ import annotations
 
-from .core import DirectionModel, InvalidInputError, VertexSet
+from .core import DirectionModel, InvalidInputError, VertexSet, _is_int
 
 SKELETON_NOTE = "skeleton-level model"
 
@@ -29,9 +29,7 @@ class KGraphSkeleton(DirectionModel):
     """Commuting adjacency matrices over a finite vertex set."""
 
     def __init__(self, vertices, adjacency):
-        matrices = tuple(
-            tuple(tuple(int(x) for x in row) for row in mat) for mat in adjacency
-        )
+        matrices = tuple(tuple(tuple(row) for row in mat) for mat in adjacency)
         self._init_base(len(matrices), vertices)
         n = self.vertex_count
         for i, mat in enumerate(matrices, start=1):
@@ -41,6 +39,10 @@ class KGraphSkeleton(DirectionModel):
                 )
             for row in mat:
                 for x in row:
+                    if not _is_int(x):
+                        raise InvalidInputError(
+                            f"matrix {i} has a non-integer entry {x!r}"
+                        )
                     if x < 0:
                         raise InvalidInputError(
                             f"matrix {i} has a negative entry {x}"
@@ -99,6 +101,8 @@ def load_kgraph(doc) -> KGraphSkeleton:
     adjacency = doc["adjacency"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise InvalidInputError('"vertices" must be a list of names')
+    if not _is_int(doc["rank"]):
+        raise InvalidInputError('"rank" must be an integer')
     if not isinstance(adjacency, list) or len(adjacency) != doc["rank"]:
         raise InvalidInputError('"adjacency" must list one matrix per direction')
     try:

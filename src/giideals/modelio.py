@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 
 from .core import (
+    _is_int,
     DirectionModel,
     IdealFamily,
     InvalidInputError,
@@ -73,7 +74,7 @@ def family_to_doc(model: DirectionModel, family) -> dict:
 def family_from_doc(model: DirectionModel, doc) -> IdealFamily:
     if not isinstance(doc, dict) or "sets" not in doc:
         raise InvalidInputError('family document must be an object with "sets"')
-    if doc.get("rank") != model.rank:
+    if not _is_int(doc.get("rank")) or doc["rank"] != model.rank:
         raise InvalidInputError(
             f"family rank {doc.get('rank')!r} does not match model rank {model.rank}"
         )

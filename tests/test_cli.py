@@ -271,15 +271,60 @@ def test_jobs_share_one_enumeration_budget(capsys, tmp_path):
     model = tmp_path / "model.json"
     model.write_text(doc)
     base = ["enumerate", str(model)]
-    outs = []
+    outs, budget_outs = [], []
     for jobs in ("1", "2"):
         code, out, _ = run(capsys, *base, "--budget", "300", "--jobs", jobs)
         assert code == 3
         assert json.loads(out)["error"] == "budget-exceeded"
+        budget_outs.append(out)
         code, out, _ = run(capsys, *base, "--jobs", jobs)
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+    assert budget_outs[0] == budget_outs[1]
+
+
+def test_jobs_share_the_relative_enumeration_budget(capsys, fixture_dir, tmp_path):
+    # funnel2 above its canonical family needs 10 candidates in all; tops
+    # below the bound count too, whichever worker draws them
+    model = fx(fixture_dir, "funnel2.json")
+    code, doc, _ = run(capsys, "compute", "if", model)
+    assert code == 0
+    bound = tmp_path / "if.json"
+    bound.write_text(doc)
+    base = ["enumerate", model, "--relative", str(bound)]
+    for budget, want in (("9", 3), ("10", 0)):
+        outs = set()
+        for jobs in ("1", "2", "3"):
+            code, out, _ = run(capsys, *base, "--budget", budget, "--jobs", jobs)
+            assert code == want
+            outs.add(out)
+        assert len(outs) == 1
+    assert json.loads(out)["mode"] == "O"
+    assert json.loads(out)["count"] == 2
+
+
+def test_jobs_budget_exit_identical_on_21_vertices(capsys, tmp_path):
+    # 2**21 tops: the budget runs out long before the workers' slices do
+    code, doc, _ = run(
+        capsys, "random", "--kind", "dynsys", "--rank", "1", "--vertices", "21",
+        "--seed", "1",
+    )
+    assert code == 0
+    model = tmp_path / "model.json"
+    model.write_text(doc)
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(
+            capsys, "enumerate", str(model), "--budget", "1000", "--jobs", jobs
+        )
+        assert code == 3
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == {
+        "error": "budget-exceeded",
+        "stats": {"budget": 1000},
+    }
 
 
 def test_jobs_relative_enumeration_identical(capsys, fixture_dir, tmp_path):
@@ -407,3 +452,31 @@ def test_corpus_config_fields_are_type_checked(capsys, tmp_path, config):
     assert code == 2
     assert out == ""
     assert "wrong type" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "kgraph", "rank": True, "vertices": ["a"], "adjacency": [[[1]]]},
+        {"kind": "kgraph", "rank": 1, "vertices": ["a"], "adjacency": [[[1.5]]]},
+        {"kind": "kgraph", "rank": 1, "vertices": ["a"], "adjacency": [[["1"]]]},
+        {"kind": "kgraph", "rank": 1, "vertices": ["a"], "adjacency": [[[True]]]},
+        {"kind": "dynsys", "rank": True, "points": ["p"], "maps": [{}]},
+        {"rank": True, "sets": {"": [], "1": []}},
+    ],
+    ids=[
+        "kgraph-rank-true", "entry-float", "entry-string", "entry-true",
+        "dynsys-rank-true", "family-rank-true",
+    ],
+)
+def test_non_integer_numbers_are_invalid_input(capsys, fixture_dir, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if "kind" in doc:
+        argv = ["validate", str(path)]
+    else:
+        model = fx(fixture_dir, "loop1.json")
+        argv = ["family", "check", model, str(path), "--mode", "t"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
