@@ -60,6 +60,17 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _worker_count(text: str) -> int:
+    """``--jobs`` value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"want an integer of at least 1, got {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="giideals",
@@ -88,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relative", help="lower-bound family file")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_worker_count, default=1)
 
     p = sub.add_parser("lattice", help="build and export the family lattice")
     p.add_argument("model")
@@ -100,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="run the verification harness")
     p.add_argument("model", nargs="?")
     p.add_argument("--corpus", help="corpus config JSON")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_worker_count, default=1)
 
     p = sub.add_parser("random", help="generate a random model document")
     p.add_argument("--kind", choices=["kgraph", "dynsys"], required=True)

@@ -51,7 +51,7 @@ from .families import (
     iter_t_families,
 )
 from .kgraph import KGraphSkeleton
-from .modelio import family_to_doc, model_fingerprint
+from .modelio import family_to_doc, fingerprint
 
 #: Candidate-space size above which sweeps sample instead of exhausting.
 DEFAULT_CANDIDATE_CEILING = 1 << 24
@@ -149,6 +149,26 @@ class DiscrepancyReport:
             "datum": self.datum,
             "seed": self.seed,
         }
+
+
+def _reporter(model: DirectionModel, seed: int | None, reports: list):
+    """``report(claim, datum, family=None)`` appends a
+    :class:`DiscrepancyReport` on ``model`` to ``reports``; a ``family`` goes
+    into the datum as its ``"family"`` document sets.  The model document and
+    its fingerprint are built on the first report, so a model without
+    discrepancies (the expected case) builds neither."""
+    rendered: list = []
+
+    def report(claim: str, datum: dict, family=None) -> None:
+        if family is not None:
+            datum = {"family": family_to_doc(model, family)["sets"], **datum}
+        if not rendered:
+            doc = model.to_doc()
+            rendered.extend((fingerprint(doc), doc))
+        fp, doc = rendered
+        reports.append(DiscrepancyReport(fp, claim, doc, datum, seed))
+
+    return report
 
 
 def _mix(*parts: int) -> int:
@@ -616,21 +636,12 @@ def theorem_a_sweep(
         )
         total["models"] += 1
         total["candidates"] += per_model.get("candidates", 0)
-        if not mismatches:
-            continue
-        doc = model.to_doc()
-        fp = model_fingerprint(model)
+        report = _reporter(model, seed, reports)
         for mism in mismatches:
-            datum = {
-                "family": family_to_doc(model, mism["family"])["sets"],
-                "t_verdict": mism["t"],
-                "nt_verdict": mism["nt"],
-            }
-            reports.append(DiscrepancyReport(fp, "nt_matches_t", doc, datum, seed))
+            datum = {"t_verdict": mism["t"], "nt_verdict": mism["nt"]}
+            report("nt_matches_t", datum, mism["family"])
             if mism["contains_i_family"]:
-                reports.append(
-                    DiscrepancyReport(fp, "no_matches_o", doc, datum, seed)
-                )
+                report("no_matches_o", datum, mism["family"])
     if stats is not None:
         stats.update(total)
     return reports
@@ -702,16 +713,7 @@ def property_suite(
 
     for model, seed in pairs:
         counters["models"] += 1
-        doc = None
-        fp = None
-
-        def report(claim, datum):
-            nonlocal doc, fp
-            if doc is None:
-                doc = model.to_doc()
-                fp = model_fingerprint(model)
-            reports.append(DiscrepancyReport(fp, claim, doc, datum, seed))
-
+        report = _reporter(model, seed, reports)
         _check_table_limit(model)
         phis = [model.phi_table(i) for i in range(1, model.rank + 1)]
         xf_table, jf_table = division_tables(model)
@@ -728,20 +730,13 @@ def property_suite(
             iter_t_families(model), FAMILY_CAP
         ):
             counters["families"] += 1
-            fam_doc = None
             if not is_invariant(model, fam).verdict:
-                fam_doc = family_to_doc(model, fam)["sets"]
-                report("t_family_invariant", {"family": fam_doc})
+                report("t_family_invariant", {}, fam)
             if not is_partially_ordered(fam, model).verdict:
-                fam_doc = fam_doc or family_to_doc(model, fam)["sets"]
-                report("t_family_partially_ordered", {"family": fam_doc})
+                report("t_family_partially_ordered", {}, fam)
             for f in range(1, 1 << model.rank):
                 if fam[f] & ~jf_table[f][fam[0]]:
-                    fam_doc = fam_doc or family_to_doc(model, fam)["sets"]
-                    report(
-                        "t_family_inside_division_bound",
-                        {"family": fam_doc, "F": f},
-                    )
+                    report("t_family_inside_division_bound", {"F": f}, fam)
 
         recovery = [
             (f, xf_table[f], jf_table[f]) for f in range(1, 1 << model.rank)

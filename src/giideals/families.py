@@ -38,6 +38,7 @@ from .core import (
     lim_set,
     mask_label,
 )
+from .modelio import family_to_doc
 
 #: Candidate evaluations allowed per enumeration before giving up.
 DEFAULT_BUDGET = 2_000_000
@@ -88,8 +89,6 @@ class EnumerationResult:
     stats: dict = field(default_factory=dict, compare=False)
 
     def to_doc(self, model: DirectionModel) -> dict:
-        from .modelio import family_to_doc
-
         return {
             "mode": self.mode,
             "count": self.count,

@@ -1,14 +1,17 @@
 """Family lattices: cover structure, DOT and JSON export.
 
-Nodes are enumerated families; node identity is the hash of the canonical
-family document, so ids are stable across runs.  Cover edges are the
-transitive reduction of pointwise containment.  Exports are byte-stable for
-a given input.
+Nodes are enumerated families.  Each node's family is rendered once, by
+:func:`giideals.modelio.family_to_doc`: the node id is the fingerprint of
+that document, so ids are stable across runs, and both exports read its
+``sets``, whose keys are in canonical direction-set order.  Cover edges are
+the transitive reduction of pointwise containment.  Exports are byte-stable
+for a given input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 
 from .core import (
     DirectionModel,
@@ -22,7 +25,12 @@ from .modelio import family_to_doc, fingerprint
 
 @dataclass(frozen=True)
 class LatticeGraph:
-    """Hasse diagram of a family set, with payloads and extremes."""
+    """Hasse diagram of a family set, with payloads and extremes.
+
+    ``sets`` holds, per node, the ``sets`` of its family document; the node
+    id is the fingerprint of that document.  ``sets`` is derived from
+    ``nodes``, so it takes no part in equality or hashing.
+    """
 
     rank: int
     vertex_names: tuple[str, ...]
@@ -30,6 +38,7 @@ class LatticeGraph:
     cover_edges: tuple[tuple[str, str], ...]  # (lower id, upper id)
     bottom: str
     top: str
+    sets: tuple[dict[str, list[str]], ...] = field(compare=False)
 
     def family_of(self, node_id: str) -> IdealFamily:
         for nid, fam in self.nodes:
@@ -77,7 +86,8 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
                 up[b_i] |= 1 << a_i
                 down[a_i] |= 1 << b_i
 
-    ids = [fingerprint(family_to_doc(model, fam)) for fam in fams]
+    docs = [family_to_doc(model, fam) for fam in fams]
+    ids = [fingerprint(doc) for doc in docs]
 
     edges = []
     for a_i, above in enumerate(up):
@@ -104,25 +114,18 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
         cover_edges=tuple(edges),
         bottom=ids[bottoms[0]],
         top=ids[tops[0]],
+        sets=tuple(doc["sets"] for doc in docs),
     )
 
 
-def _node_label(lattice: LatticeGraph, fam: IdealFamily) -> str:
+def _node_label(sets: dict[str, list[str]]) -> str:
     """Compact family notation: nonempty entries as "F:{v,..}", "()" for the
     empty direction set; the all-empty family reads "all-empty"."""
-    from .core import canonical_masks, mask_label
-
-    parts = []
-    for m in canonical_masks(lattice.rank):
-        if fam[m] == 0:
-            continue
-        names = [
-            lattice.vertex_names[v]
-            for v in range(len(lattice.vertex_names))
-            if fam[m] >> v & 1
-        ]
-        label = mask_label(m) or "()"
-        parts.append(f"{label}:{{{','.join(names)}}}")
+    parts = [
+        f"{label or '()'}:{{{','.join(names)}}}"
+        for label, names in sets.items()
+        if names
+    ]
     return " ".join(parts) if parts else "all-empty"
 
 
@@ -133,8 +136,8 @@ def _height(fam: IdealFamily) -> int:
 def export_dot(lattice: LatticeGraph) -> str:
     """Graphviz digraph, edges lower -> upper, rank hints by family height."""
     lines = ["digraph family_lattice {", "  rankdir=BT;", '  node [shape=box];']
-    for nid, fam in lattice.nodes:
-        lines.append(f'  "{nid}" [label="{_node_label(lattice, fam)}"];')
+    for (nid, _), sets in zip(lattice.nodes, lattice.sets):
+        lines.append(f'  "{nid}" [label="{_node_label(sets)}"];')
     for lo, hi in lattice.cover_edges:
         lines.append(f'  "{lo}" -> "{hi}";')
     by_height: dict[int, list[str]] = {}
@@ -150,36 +153,15 @@ def export_dot(lattice: LatticeGraph) -> str:
 
 def export_json(lattice: LatticeGraph) -> str:
     """JSON mirror of the lattice fields, stable for a given input."""
-    import json
-
     doc = {
         "rank": lattice.rank,
         "vertices": list(lattice.vertex_names),
         "nodes": [
-            {
-                "id": nid,
-                "family": {
-                    label: names
-                    for label, names in _family_sets(lattice, fam).items()
-                },
-            }
-            for nid, fam in lattice.nodes
+            {"id": nid, "family": sets}
+            for (nid, _), sets in zip(lattice.nodes, lattice.sets)
         ],
         "cover_edges": [[lo, hi] for lo, hi in lattice.cover_edges],
         "bottom": lattice.bottom,
         "top": lattice.top,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _family_sets(lattice: LatticeGraph, fam: IdealFamily) -> dict:
-    from .core import mask_label
-
-    return {
-        mask_label(m): [
-            lattice.vertex_names[v]
-            for v in range(len(lattice.vertex_names))
-            if fam[m] >> v & 1
-        ]
-        for m in range(len(fam))
-    }

@@ -23,6 +23,7 @@ from .core import (
     DirectionModel,
     IdealFamily,
     InvalidInputError,
+    canonical_masks,
     check_family,
     label_to_mask,
     mask_label,
@@ -62,11 +63,20 @@ def model_fingerprint(model: DirectionModel) -> str:
 
 
 def family_to_doc(model: DirectionModel, family) -> dict:
+    """The family document ``{"rank": k, "sets": {label: [names]}}``.
+
+    The family is validated once, by :func:`check_family`.  ``sets`` keys
+    are in :func:`canonical_masks` order, names in vertex order.  This is
+    the one renderer of families: a lattice node's id is the fingerprint of
+    this document, and both lattice exports read its ``sets``.
+    """
     fam = check_family(model, family)
+    names = model.vertex_names
     return {
         "rank": model.rank,
         "sets": {
-            mask_label(m): list(model.names_of_set(fam[m])) for m in range(len(fam))
+            mask_label(m): [names[v] for v in range(len(names)) if fam[m] >> v & 1]
+            for m in canonical_masks(model.rank)
         },
     }
 

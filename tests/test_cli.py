@@ -379,6 +379,19 @@ def test_jobs_crosscheck_deterministic(capsys, fixture_dir):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize(
+    "command", [["enumerate", "--count-only"], ["crosscheck"]], ids=lambda c: c[0]
+)
+def test_nonpositive_jobs_is_invalid_input(capsys, fixture_dir, command, jobs):
+    code, out, err = run(
+        capsys, command[0], fx(fixture_dir, "loop1.json"), *command[1:], "--jobs", jobs
+    )
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
 def test_witness_replays_through_library(capsys, fixture_dir):
     # a failing check's witness, fed back through the library, must
     # reproduce the violation

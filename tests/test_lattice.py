@@ -1,6 +1,7 @@
 """Lattice construction, transitive reduction, exports."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,10 +15,14 @@ from giideals import (
 )
 from giideals.core import InvalidInputError
 from giideals.families import EnumerationResult
+from giideals.kgraph import KGraphSkeleton
+from giideals.modelio import family_to_doc, fingerprint
 from giideals import fixtures, oracles
 from giideals.crossval import builtin_random_models
 
 from helpers import small_models
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def le(a, b):
@@ -129,6 +134,23 @@ def test_dot_export_content_and_stability():
     dot2 = export_dot(build_lattice(model, enumerate_t_families(model)))
     assert dot1 == dot2
     assert dot1 == LOOP1_DOT
+
+
+def test_rank3_lattice_golden():
+    # rank 3 is the least rank where canonical direction-set order (by size,
+    # then value) differs from numeric mask order: "3" sorts before "1,2"
+    model = KGraphSkeleton(("v",), ([[1]],) * 3)
+    lat = build_lattice(model, enumerate_t_families(model))
+    assert (len(lat.nodes), len(lat.cover_edges)) == (20, 32)
+    dot = export_dot(lat)
+    assert dot == (GOLDEN / "rank3_loop.dot").read_text()
+    assert '[label="3:{v} 1,2:{v} 1,3:{v} 2,3:{v} 1,2,3:{v}"]' in dot
+    nodes = json.loads(export_json(lat))["nodes"]
+    for (nid, fam), node in zip(lat.nodes, nodes):
+        doc = family_to_doc(model, fam)
+        assert node == {"id": nid, "family": doc["sets"]}
+        assert nid == fingerprint(doc)
+    assert hash(lat) == hash(build_lattice(model, enumerate_t_families(model)))
 
 
 def test_dot_singleton_has_no_edges():
