@@ -30,7 +30,6 @@ from .core import (
 from .crossval import (
     CorpusSpec,
     DiscrepancyReport,
-    builtin_corpus,
     iter_corpus_models,
     katsura_oracle,
     property_suite,
@@ -51,7 +50,7 @@ from .families import (
     join,
     meet,
 )
-from .kgraph import KGraphSkeleton, load_kgraph, successors
+from .kgraph import KGraphSkeleton, load_kgraph
 from .lattice import LatticeGraph, build_lattice, export_dot, export_json
 from .modelio import (
     family_from_doc,

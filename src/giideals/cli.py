@@ -60,15 +60,15 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _worker_count(text: str) -> int:
-    """``--jobs`` value: an integer of at least 1."""
+def _positive_int(text: str) -> int:
+    """``--jobs`` and ``--budget`` value: an integer of at least 1."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"want an integer of at least 1, got {text!r}")
-    return jobs
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,20 +98,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--relative", help="lower-bound family file")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=_worker_count, default=1)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("lattice", help="build and export the family lattice")
     p.add_argument("model")
     p.add_argument("--dot", help="write DOT here")
     p.add_argument("--json", dest="json_path", help="write JSON here")
     p.add_argument("--relative", help="lower-bound family file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("crosscheck", help="run the verification harness")
     p.add_argument("model", nargs="?")
     p.add_argument("--corpus", help="corpus config JSON")
-    p.add_argument("--jobs", type=_worker_count, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("random", help="generate a random model document")
     p.add_argument("--kind", choices=["kgraph", "dynsys"], required=True)
@@ -252,14 +252,13 @@ def _cmd_crosscheck(args) -> int:
     if bool(args.model) == bool(args.corpus):
         raise InvalidInputError("give a model file or --corpus, not both or neither")
     if args.model:
+        spec = CorpusSpec()
         pairs = [(load_model_path(args.model), None)]
-        ceiling, samples = None, None
     else:
         spec = CorpusSpec.from_doc(read_json(args.corpus))
         pairs = list(iter_corpus_models(spec))
-        ceiling, samples = spec.candidate_ceiling, spec.candidate_samples
 
-    limits = (ceiling, samples)
+    limits = (spec.candidate_ceiling, spec.candidate_samples)
     if args.jobs > 1 and len(pairs) > 1:
         report_docs, stats = _parallel(_crosscheck_worker, limits, pairs, args.jobs)
     else:
@@ -282,12 +281,9 @@ def _crosscheck_worker(limits, pairs):
     ceiling, samples = limits
     stats: dict = {}
     reports = theorem_a_sweep(
-        models=pairs,
-        candidate_ceiling=ceiling,
-        candidate_samples=samples,
-        stats=stats,
+        pairs, candidate_ceiling=ceiling, candidate_samples=samples, stats=stats
     )
-    reports += property_suite(models=pairs)
+    reports += property_suite(pairs)
     return [r.to_doc() for r in reports], stats
 
 

@@ -16,6 +16,15 @@ Both the sweep and the property suite need tables over every vertex subset,
 so they stop at models of at most 16 vertices: a larger model raises
 :class:`BudgetExceededError` (a budget exit, code 3 in the CLI), not an
 input error, since the model itself is valid.
+
+Both take ``models`` as bare models or ``(model, seed)`` pairs; a corpus
+enters through :func:`iter_corpus_models`, and its candidate limits through
+the sweep's keyword arguments.  The relative claim's lower bound (the
+canonical family) is computed lazily, only for a model whose sweep found a
+mismatch.  Commutation belongs to the backends: the exhaustive corpus
+filters direction tuples with the same first-clash predicates
+(``kgraph._first_clash``, ``dynsys._first_clash``) that validation raises
+from.
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import fixtures
 from .core import (
     _TABLE_LIMIT,
     _gfp_meet,
@@ -42,7 +50,7 @@ from .core import (
     j_family,
     jf_of,
 )
-from .dynsys import PartialMapSystem
+from .dynsys import PartialMapSystem, _first_clash as _map_clash
 from .families import (
     EnumerationResult,
     enumeration_result,
@@ -50,7 +58,7 @@ from .families import (
     is_partially_ordered,
     iter_t_families,
 )
-from .kgraph import KGraphSkeleton
+from .kgraph import KGraphSkeleton, _first_clash as _matrix_clash, _matmul
 from .modelio import family_to_doc, fingerprint
 
 #: Candidate-space size above which sweeps sample instead of exhausting.
@@ -123,11 +131,6 @@ class CorpusSpec:
         if "kinds" in kwargs:
             kwargs["kinds"] = tuple(kwargs["kinds"])
         return cls(**kwargs)
-
-    def to_doc(self) -> dict:
-        doc = {f: getattr(self, f) for f in self.__dataclass_fields__}  # type: ignore[attr-defined]
-        doc["kinds"] = list(doc["kinds"])
-        return doc
 
 
 @dataclass(frozen=True)
@@ -242,10 +245,7 @@ def _random_matrix(rng, n, max_mult):
 
 def _poly_matrices(rng, rank, n, max_mult):
     base = _random_matrix(rng, n, max_mult)
-    sq = [
-        [sum(base[v][x] * base[x][w] for x in range(n)) for w in range(n)]
-        for v in range(n)
-    ]
+    sq = _matmul(base, base)
     eye = [[1 if v == w else 0 for w in range(n)] for v in range(n)]
     mats = []
     for _ in range(rank):
@@ -303,33 +303,14 @@ def _all_matrices(n, max_entry):
         yield tuple(tuple(flat[v * n : (v + 1) * n]) for v in range(n))
 
 
-def _mats_commute(a, b, n):
-    for v in range(n):
-        for w in range(n):
-            if sum(a[v][x] * b[x][w] for x in range(n)) != sum(
-                b[v][x] * a[x][w] for x in range(n)
-            ):
-                return False
-    return True
-
-
 def _all_partial_maps(n):
-    return itertools.product(range(-1, n), repeat=n)
-
-
-def _maps_commute(f, g):
-    for v in range(len(f)):
-        w = g[v]
-        fg = -1 if w < 0 else f[w]
-        w = f[v]
-        gf = -1 if w < 0 else g[w]
-        if fg != gf:
-            return False
-    return True
+    """Every partial self-map of ``n`` points as an image tuple, ``None``
+    meaning undefined (listed first, as the smallest image)."""
+    return itertools.product((None, *range(n)), repeat=n)
 
 
 def _map_tuple_to_dict(names, img):
-    return {names[w]: names[img[w]] for w in range(len(names)) if img[w] >= 0}
+    return {names[w]: names[t] for w, t in enumerate(img) if t is not None}
 
 
 def iter_corpus_models(spec: CorpusSpec):
@@ -375,11 +356,11 @@ def _iter_all_models(kind, rank, v, max_mult):
     names = tuple(f"v{i}" for i in range(v))
     if kind == "kgraph":
         singles = list(_all_matrices(v, max_mult))
-        commute = lambda a, b: _mats_commute(a, b, v)  # noqa: E731
+        clash = _matrix_clash
         build = lambda chosen: KGraphSkeleton(names, chosen)  # noqa: E731
     else:
         singles = list(_all_partial_maps(v))
-        commute = _maps_commute
+        clash = _map_clash
         build = lambda chosen: PartialMapSystem(  # noqa: E731
             names, [_map_tuple_to_dict(names, img) for img in chosen]
         )
@@ -389,7 +370,7 @@ def _iter_all_models(kind, rank, v, max_mult):
             yield build(list(chosen))
             return
         for single in singles:
-            if all(commute(single, prev) for prev in chosen):
+            if all(clash(single, prev) is None for prev in chosen):
                 yield from rec(chosen + (single,))
 
     yield from rec(())
@@ -444,8 +425,6 @@ class SweepTables:
             self.lpi[f] = lpi
             self.lim[f] = [_lfp_join(rows, k0) for k0 in lpi]
 
-        self.i_family = tuple(i_family(model))
-
     def t_verdict(self, fam) -> bool:
         phis = self.phis
         for f, i0, fi in self.t_triples:
@@ -477,9 +456,6 @@ class SweepTables:
             if lhs & ~fam[f]:
                 return False
         return True
-
-    def contains_i_family(self, fam) -> bool:
-        return all(i & ~s == 0 for i, s in zip(self.i_family, fam))
 
 
 def _biased_candidates(rng, n, k, count):
@@ -545,8 +521,9 @@ def sweep_model(
 ) -> list[dict]:
     """Compare the two verdicts on every candidate family of one model.
 
-    Returns up to :data:`REPORT_CAP` mismatch records ``{"family": .., "t":
-    .., "nt": .., "contains_i_family": ..}``.  ``t_check`` overrides the
+    Returns up to :data:`REPORT_CAP` mismatch records ``{"family": fam,
+    "t": t_verdict, "nt": nt_verdict}`` in candidate order, where ``fam`` is
+    the candidate family as a tuple of bitmasks.  ``t_check`` overrides the
     fixed-point verdict (used by the harness self-test to prove the sweep
     can see an injected fault).  Models above 16 vertices raise
     :class:`BudgetExceededError` with stats ``{"vertices": n,
@@ -573,14 +550,7 @@ def sweep_model(
         a = tv(fam)
         b = nv(fam)
         if a != b:
-            mismatches.append(
-                {
-                    "family": fam,
-                    "t": a,
-                    "nt": b,
-                    "contains_i_family": tables.contains_i_family(fam),
-                }
-            )
+            mismatches.append({"family": fam, "t": a, "nt": b})
             if len(mismatches) >= REPORT_CAP:
                 break
     if stats is not None:
@@ -589,59 +559,55 @@ def sweep_model(
     return mismatches
 
 
-def _resolve_models(corpus, models):
-    if models is not None:
-        return [(m, s) for m, s in (
-            item if isinstance(item, tuple) else (item, None) for item in models
-        )]
-    if corpus is None:
-        raise InvalidInputError("need a corpus spec or an explicit model list")
-    return list(iter_corpus_models(corpus))
+def _model_seed_pairs(models):
+    """``(model, seed)`` pairs from a list of bare models or such pairs."""
+    for item in models:
+        yield item if isinstance(item, tuple) else (item, None)
 
 
 def theorem_a_sweep(
-    corpus: CorpusSpec | None = None,
+    models,
     *,
-    models=None,
     t_check=None,
-    candidate_ceiling: int | None = None,
-    candidate_samples: int | None = None,
+    candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING,
+    candidate_samples: int = DEFAULT_CANDIDATE_SAMPLES,
     stats: dict | None = None,
 ) -> list[DiscrepancyReport]:
-    """Sweep a corpus comparing the fixed-point and tuple characterisations.
+    """Sweep models comparing the fixed-point and tuple characterisations.
 
-    For every model and candidate family, the per-direction fixed-point
-    verdict must equal the tuple verdict; with the canonical family as lower
-    bound, the relative verdicts must then also agree.  Returns one report
-    per mismatch (expected: none).
+    ``models`` holds bare models or ``(model, seed)`` pairs; a seed drives
+    the sampled mode and goes into the model's reports.  For every model and
+    candidate family, the per-direction fixed-point verdict must equal the
+    tuple verdict (claim ``nt_matches_t``); a mismatching family that
+    contains the canonical family is also a mismatch of the relative
+    verdicts with that lower bound (claim ``no_matches_o``).  The bound,
+    :func:`giideals.core.i_family`, is computed only for a model with
+    mismatches.  Returns one report per claim and mismatch (expected: none).
     """
-    pairs = _resolve_models(corpus, models)
-    ceiling = candidate_ceiling or (
-        corpus.candidate_ceiling if corpus else DEFAULT_CANDIDATE_CEILING
-    )
-    samples = candidate_samples or (
-        corpus.candidate_samples if corpus else DEFAULT_CANDIDATE_SAMPLES
-    )
     reports: list[DiscrepancyReport] = []
     total = {"models": 0, "candidates": 0}
-    for model, seed in pairs:
+    for model, seed in _model_seed_pairs(models):
         per_model: dict = {}
         mismatches = sweep_model(
             model,
-            candidate_ceiling=ceiling,
-            candidate_samples=samples,
+            candidate_ceiling=candidate_ceiling,
+            candidate_samples=candidate_samples,
             rng_seed=seed if seed is not None else 0,
             t_check=t_check,
             stats=per_model,
         )
         total["models"] += 1
         total["candidates"] += per_model.get("candidates", 0)
+        if not mismatches:
+            continue
         report = _reporter(model, seed, reports)
+        bound = i_family(model)
         for mism in mismatches:
+            fam = mism["family"]
             datum = {"t_verdict": mism["t"], "nt_verdict": mism["nt"]}
-            report("nt_matches_t", datum, mism["family"])
-            if mism["contains_i_family"]:
-                report("no_matches_o", datum, mism["family"])
+            report("nt_matches_t", datum, fam)
+            if all(i & ~h == 0 for i, h in zip(bound, fam)):
+                report("no_matches_o", datum, fam)
     if stats is not None:
         stats.update(total)
     return reports
@@ -681,13 +647,9 @@ def katsura_oracle(model: DirectionModel) -> EnumerationResult:
 # property suite
 
 
-def property_suite(
-    corpus: CorpusSpec | None = None,
-    *,
-    models=None,
-    stats: dict | None = None,
-) -> list[DiscrepancyReport]:
-    """Evaluate the supporting inclusions on every model of a corpus.
+def property_suite(models, *, stats: dict | None = None) -> list[DiscrepancyReport]:
+    """Evaluate the supporting inclusions on every model of ``models`` (bare
+    models or ``(model, seed)`` pairs, as for :func:`theorem_a_sweep`).
 
     Claims checked (violations reported, expected none):
 
@@ -707,11 +669,10 @@ def property_suite(
     16 vertices raise :class:`BudgetExceededError` with stats
     ``{"vertices": n, "table_limit": 16}``.
     """
-    pairs = _resolve_models(corpus, models)
     reports: list[DiscrepancyReport] = []
     counters = {"models": 0, "families": 0, "invariant_sets": 0}
 
-    for model, seed in pairs:
+    for model, seed in _model_seed_pairs(models):
         counters["models"] += 1
         report = _reporter(model, seed, reports)
         _check_table_limit(model)
@@ -808,16 +769,4 @@ def builtin_random_models(count: int = 200, seed: int = BUILTIN_SEED):
         out.append(
             (random_model(kind, rank, v, model_seed, strategy=strategy), model_seed)
         )
-    return out
-
-
-def builtin_corpus(random_count: int = 200, seed: int = BUILTIN_SEED):
-    """The shipped corpus: fixtures, the two exhaustive small-model legs of
-    :data:`EXHAUSTIVE_LEGS`, and ``random_count`` seeded random models of
-    rank at most 3 on at most 5 vertices.
-    """
-    out = [(m, None) for m in fixtures.all_models()]
-    for _, spec in EXHAUSTIVE_LEGS:
-        out.extend(iter_corpus_models(spec))
-    out.extend(builtin_random_models(random_count, seed))
     return out

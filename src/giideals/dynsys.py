@@ -11,7 +11,9 @@ the set of points that ``T_i`` sends to ``v``.
 
 Commutation is checked in the strong pointwise sense: for every pair of
 directions and every point, the two composites must be both undefined or
-both defined with equal values.
+both defined with equal values.  ``_first_clash`` is that one test: validation
+raises from it, and the exhaustive corpus enumeration in
+:mod:`giideals.crossval` filters with it.
 """
 
 from __future__ import annotations
@@ -78,23 +80,31 @@ class PartialMapSystem(DirectionModel):
         }
 
 
-def _apply(img, v):
-    return None if v is None else img[v]
+def _first_clash(f, g):
+    """The first point, in index order, where ``f . g`` and ``g . f`` differ,
+    as ``(v, fg_v, gf_v)``; ``None`` when the maps commute.  ``f`` and ``g``
+    are image tuples, ``None`` meaning undefined.
+    """
+    for v, (fv, gv) in enumerate(zip(f, g)):
+        fg = None if gv is None else f[gv]
+        gf = None if fv is None else g[fv]
+        if fg != gf:
+            return v, fg, gf
+    return None
 
 
 def _check_commuting(images, names) -> None:
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            for v in range(len(names)):
-                ij = _apply(images[i], _apply(images[j], v))
-                ji = _apply(images[j], _apply(images[i], v))
-                if ij != ji:
-                    raise InvalidInputError(
-                        f"maps {i + 1} and {j + 1} do not commute at point "
-                        f"{names[v]!r}: composites give "
-                        f"{'undefined' if ij is None else names[ij]!r} vs "
-                        f"{'undefined' if ji is None else names[ji]!r}"
-                    )
+            clash = _first_clash(images[i], images[j])
+            if clash is not None:
+                v, ij, ji = clash
+                raise InvalidInputError(
+                    f"maps {i + 1} and {j + 1} do not commute at point "
+                    f"{names[v]!r}: composites give "
+                    f"{'undefined' if ij is None else names[ij]!r} vs "
+                    f"{'undefined' if ji is None else names[ji]!r}"
+                )
 
 
 def load_dynsys(doc) -> PartialMapSystem:

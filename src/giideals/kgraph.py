@@ -16,11 +16,16 @@ coloured-graph factorisation; validation flags these as skeleton-level
 models.
 
 Duplicate vertex names are rejected (matrices are indexed positionally).
+
+This module owns the commutation test for matrices, ``_first_clash``:
+validation and the exhaustive corpus enumeration in
+:mod:`giideals.crossval` both call it, and the random-model generator there
+squares its seed matrix with ``_matmul``.
 """
 
 from __future__ import annotations
 
-from .core import DirectionModel, InvalidInputError, VertexSet, _is_int
+from .core import DirectionModel, InvalidInputError, _is_int
 
 SKELETON_NOTE = "skeleton-level model"
 
@@ -67,26 +72,39 @@ class KGraphSkeleton(DirectionModel):
         }
 
 
+def _matmul(a, b):
+    """The product ``a b`` of two square matrices given as rows."""
+    n = len(a)
+    return [
+        [sum(a[v][x] * b[x][w] for x in range(n)) for w in range(n)]
+        for v in range(n)
+    ]
+
+
+def _first_clash(a, b):
+    """The first entry, in row-major order, where ``a b`` and ``b a`` differ,
+    as ``(v, w, ab_vw, ba_vw)``; ``None`` when the matrices commute.  Entries
+    are computed one at a time, so a clash stops before either full product.
+    """
+    n = len(a)
+    for v in range(n):
+        for w in range(n):
+            ab = sum(a[v][x] * b[x][w] for x in range(n))
+            ba = sum(b[v][x] * a[x][w] for x in range(n))
+            if ab != ba:
+                return v, w, ab, ba
+    return None
+
+
 def _check_commuting(matrices, names) -> None:
-    n = len(names)
-
-    def mul(a, b):
-        return [
-            [sum(a[v][x] * b[x][w] for x in range(n)) for w in range(n)]
-            for v in range(n)
-        ]
-
     for i in range(len(matrices)):
         for j in range(i + 1, len(matrices)):
-            ij = mul(matrices[i], matrices[j])
-            ji = mul(matrices[j], matrices[i])
-            if ij != ji:
-                v, w = next(
-                    (v, w) for v in range(n) for w in range(n) if ij[v][w] != ji[v][w]
-                )
+            clash = _first_clash(matrices[i], matrices[j])
+            if clash is not None:
+                v, w, ij, ji = clash
                 raise InvalidInputError(
                     f"matrices {i + 1} and {j + 1} do not commute: path counts "
-                    f"from {names[v]!r} to {names[w]!r} are {ij[v][w]} vs {ji[v][w]}"
+                    f"from {names[v]!r} to {names[w]!r} are {ij} vs {ji}"
                 )
 
 
@@ -112,17 +130,3 @@ def load_kgraph(doc) -> KGraphSkeleton:
             raise
         raise InvalidInputError(f"malformed adjacency data: {exc}") from None
     return model
-
-
-def successors(model: KGraphSkeleton, v, i: int) -> VertexSet:
-    """Source vertices of the degree-``i`` paths out of ``v``.
-
-    ``v`` may be a vertex name or an index.
-    """
-    if isinstance(v, str):
-        v = model.vertex_index(v)
-    if not isinstance(v, int) or not 0 <= v < model.vertex_count:
-        raise InvalidInputError(f"vertex index {v!r} out of range")
-    if not 1 <= i <= model.rank:
-        raise InvalidInputError(f"direction {i!r} out of range 1..{model.rank}")
-    return model.deps[i - 1][v]

@@ -392,6 +392,18 @@ def test_nonpositive_jobs_is_invalid_input(capsys, fixture_dir, command, jobs):
     assert "--jobs" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("command", ["enumerate", "lattice"])
+def test_nonpositive_budget_is_invalid_input(capsys, fixture_dir, command, budget):
+    # not a budget exit: no candidate was tried against an invalid budget
+    code, out, err = run(
+        capsys, command, fx(fixture_dir, "loop1.json"), "--budget", budget
+    )
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
 def test_witness_replays_through_library(capsys, fixture_dir):
     # a failing check's witness, fed back through the library, must
     # reproduce the violation

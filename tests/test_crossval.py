@@ -1,5 +1,6 @@
 """Verification harness: sweeps, the rank-1 pair oracle, random models."""
 
+import hashlib
 import itertools
 import random
 
@@ -22,6 +23,7 @@ from giideals import (
     theorem_a_sweep,
 )
 from giideals.crossval import (
+    EXHAUSTIVE_LEGS,
     SweepTables,
     _biased_candidates,
     builtin_random_models,
@@ -86,19 +88,29 @@ def test_relative_checks_agree_exhaustively_on_fixtures():
 
 
 def test_sweep_self_test_detects_injected_fault():
-    # corrupting one verdict must surface as a discrepancy; faulting a family
-    # above the canonical bound trips the relative claim too
+    # corrupting a verdict must surface as a discrepancy; the relative claim
+    # trips only for a family above the canonical bound: the top family, not
+    # the all-empty one (absorb2's canonical family is not empty)
+    from giideals import i_family
+
     model = fixtures.absorb2()
-    top = (model.full,) * 4
+    bottom, top = (0,) * 4, (model.full,) * 4
+    assert any(i_family(model))
 
     def corrupted_t(mdl, fam):
-        if tuple(fam) == top:
-            return False
-        return is_t_family(mdl, fam).verdict
+        verdict = is_t_family(mdl, fam).verdict
+        return not verdict if tuple(fam) in (bottom, top) else verdict
 
-    reports = theorem_a_sweep(models=[model], t_check=corrupted_t)
-    assert reports
-    assert {r.claim for r in reports} == {"nt_matches_t", "no_matches_o"}
+    reports = theorem_a_sweep([model], t_check=corrupted_t)
+    got = [(r.claim, r.datum["family"]) for r in reports]
+    empty = {"": [], "1": [], "2": [], "1,2": []}
+    full = {key: ["p", "q"] for key in empty}
+    assert got == [
+        ("nt_matches_t", empty),
+        ("nt_matches_t", full),
+        ("no_matches_o", full),
+    ]
+    assert all(r.datum["t_verdict"] is False for r in reports)
     assert all(r.fingerprint for r in reports)
 
 
@@ -304,4 +316,32 @@ def test_sampled_corpus_deterministic():
 
 def test_sweep_on_sampled_corpus_is_clean():
     spec = CorpusSpec(sample_count=8, seed=23, rank_max=2, vertices_max=3)
-    assert theorem_a_sweep(spec) == []
+    assert theorem_a_sweep(
+        iter_corpus_models(spec),
+        candidate_ceiling=spec.candidate_ceiling,
+        candidate_samples=spec.candidate_samples,
+    ) == []
+
+
+#: sha256 of each exhaustive leg's model documents, one canonical JSON line
+#: per model in corpus order, as first recorded; any reorder or change of a
+#: model, or of the commutation filter, changes the digest.
+EXHAUSTIVE_LEG_DIGESTS = {
+    "all commuting partial-map pairs on <= 3 points":
+        (685, "1ef0c1f083c41275078f181ff0c05baa72558b656f4bb132bc3180af99f91e3f"),
+    "all commuting matrix pairs (entries <= 2) on <= 2 vertices":
+        (752, "d54a62eca14c3ff3c6f380d7709ca6aba4d3455e9e0a3595ecb1ca83562dab88"),
+}
+
+
+def test_exhaustive_legs_keep_their_order_and_documents():
+    got = {}
+    for name, spec in EXHAUSTIVE_LEGS:
+        digest = hashlib.sha256()
+        count = 0
+        for model, seed in iter_corpus_models(spec):
+            assert seed is None
+            digest.update(canonical_json(model.to_doc()).encode() + b"\n")
+            count += 1
+        got[name] = (count, digest.hexdigest())
+    assert got == EXHAUSTIVE_LEG_DIGESTS

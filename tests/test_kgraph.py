@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from giideals import InvalidInputError, load_kgraph, phi_n, successors
+from giideals import InvalidInputError, load_kgraph, phi_n
 from giideals.kgraph import KGraphSkeleton, SKELETON_NOTE
 from giideals import fixtures, oracles
 
@@ -97,30 +97,25 @@ def test_rank3_models_flagged_as_skeleton_level():
     assert fixtures.funnel2().note is None
 
 
+# the source vertices of the degree-i paths out of v: model.deps[i - 1][v]
+
+
 def test_successors_funnel2():
     model = fixtures.funnel2()
-    assert names(model, successors(model, "u", 1)) == {"w"}
-    assert names(model, successors(model, 0, 1)) == {"w"}
+    assert names(model, model.deps[0][model.vertex_index("u")]) == {"w"}
+    assert names(model, model.deps[0][0]) == {"w"}
+    with pytest.raises(InvalidInputError):
+        model.vertex_index("zz")
 
 
 def test_successors_loop():
     model = fixtures.loops2()
-    assert names(model, successors(model, "v", 2)) == {"v"}
+    assert names(model, model.deps[1][model.vertex_index("v")]) == {"v"}
 
 
 def test_successors_source_row():
     model = KGraphSkeleton(("a", "b"), ([[0, 0], [1, 0]],))
-    assert successors(model, "a", 1) == 0
-
-
-def test_successors_range_checks():
-    model = fixtures.funnel2()
-    with pytest.raises(InvalidInputError):
-        successors(model, "zz", 1)
-    with pytest.raises(InvalidInputError):
-        successors(model, 5, 1)
-    with pytest.raises(InvalidInputError):
-        successors(model, "u", 3)
+    assert model.deps[0][model.vertex_index("a")] == 0
 
 
 def test_phi_generator_funnel2():
