@@ -61,7 +61,7 @@ def _note(message: str) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """``--jobs`` and ``--budget`` value: an integer of at least 1."""
+    """``--jobs``, ``--budget``, ``--retries``: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-mult", type=int, default=2)
     p.add_argument("--strategy", choices=["derived", "rejection"], default="derived")
-    p.add_argument("--retries", type=int, default=2000)
+    p.add_argument("--retries", type=_positive_int, default=2000)
 
     return parser
 

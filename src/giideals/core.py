@@ -46,7 +46,9 @@ class InvalidInputError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration, sampling or retry budget ran out.
+    """An enumeration, sampling or retry budget ran out, or a valid model is
+    too large for subset tables (:meth:`DirectionModel.phi_table`, stats
+    ``{"vertices": n, "table_limit": 16}``).
 
     ``stats`` carries partial-progress counters for diagnostics.
     """
@@ -222,18 +224,22 @@ class DirectionModel(abc.ABC):
     def phi_table(self, i: int) -> list[int]:
         """Lookup table of ``phi(i, .)`` over every subset; cached.
 
-        Only available on small models; sweeps and enumerations that need it
-        operate well below the limit.
+        The one owner of the table limit: above 16 vertices it raises
+        :class:`BudgetExceededError` with stats ``{"vertices": n,
+        "table_limit": 16}`` (the model itself is valid).  Every subset table
+        is built from these, so each stops the same way.
         """
         _check_direction(self, i)
         table = self._phi_tables.get(i)
         if table is None:
-            if self.vertex_count > _TABLE_LIMIT:
-                raise InvalidInputError(
-                    f"phi tables limited to {_TABLE_LIMIT} vertices, "
-                    f"model has {self.vertex_count}"
+            n = self.vertex_count
+            if n > _TABLE_LIMIT:
+                raise BudgetExceededError(
+                    f"subset tables limited to {_TABLE_LIMIT} vertices; "
+                    f"model has {n}",
+                    {"vertices": n, "table_limit": _TABLE_LIMIT},
                 )
-            table = [self._phi(i, h) for h in range(1 << self.vertex_count)]
+            table = [self._phi(i, h) for h in range(1 << n)]
             self._phi_tables[i] = table
         return table
 
@@ -436,7 +442,9 @@ def division_tables(
     subset, keyed by nonempty direction set: ``xf[f][h] == xf_inverse(model,
     h, f)`` and ``jf[f][h] == jf_of(model, h, f)``.
 
-    Built from the phi tables, so limited to the same model size.  Splitting
+    Built from the phi tables, so a model above 16 vertices raises
+    :class:`BudgetExceededError` with stats ``{"vertices": n,
+    "table_limit": 16}``, from :meth:`DirectionModel.phi_table`.  Splitting
     the lowest direction ``i`` off ``f`` gives
     ``xf[f][h] = xf[r][h] & phi(i, h) & phi(i, xf[r][h])`` for the rest
     ``r``, since ``phi(i, .)`` preserves intersections.  Built per call, not

@@ -11,11 +11,17 @@ Sweeps run on table-driven re-implementations of both checks for speed; the
 test suite pins those tables to the public checkers exhaustively on small
 models, so the fast path cannot drift silently.  The division tables
 (:func:`giideals.core.division_tables`) also serve the property suite.
+Both verdicts walk :func:`giideals.core.direction_covers`: conditions (ii)
+and (iii) of the tuple check are the subset half of the fixed-point
+equation on each cover, the paper's direct route.  The verdicts are
+booleans, so the order of their conditions is free; the witness order
+belongs to :func:`giideals.families.is_nt_tuple`.
 
 Both the sweep and the property suite need tables over every vertex subset,
-so they stop at models of at most 16 vertices: a larger model raises
-:class:`BudgetExceededError` (a budget exit, code 3 in the CLI), not an
-input error, since the model itself is valid.
+so they stop at models of at most 16 vertices: the first
+:meth:`~giideals.core.DirectionModel.phi_table` call of a larger model
+raises :class:`BudgetExceededError` (a budget exit, code 3 in the CLI), not
+an input error, since the model itself is valid.
 
 Both take ``models`` as bare models or ``(model, seed)`` pairs; a corpus
 enters through :func:`iter_corpus_models`, and its candidate limits through
@@ -34,7 +40,6 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    _TABLE_LIMIT,
     _gfp_meet,
     _is_int,
     _lfp_join,
@@ -388,10 +393,18 @@ class SweepTables:
     candidate families stay cheap.  The division tables come from
     :func:`giideals.core.division_tables`; the ``lpi``/``lim`` tables run the
     fixed-point loops of ``largest_perp_invariant``/``lim_set`` on phi tables.
+
+    Both verdicts walk the covers of :func:`giideals.core.direction_covers`.
+    The T verdict asks ``phi(i, H_F) & H_{F+i} == H_F`` on each cover; the
+    NT verdict asks only the subset half, ``H_F <= phi(i, H_F) & H_{F+i}``,
+    which is conditions (ii) (invariance) and (iii) (partial order)
+    together, the paper's direct route between the two.  It then checks
+    (i) and (iv).  The verdicts are booleans, so the order of their
+    conditions is free; the first-witness order belongs to
+    :func:`giideals.families.is_nt_tuple`.
     """
 
     def __init__(self, model: DirectionModel):
-        self.model = model
         k = model.rank
         self.full = model.full
         self.nmasks = 1 << k
@@ -400,14 +413,7 @@ class SweepTables:
         self.phis = phis
 
         canon = canonical_masks(k)
-        covers = direction_covers(k)
-        self.t_triples = [(f, i - 1, up) for f, i, up in covers]
-        self.free_lists = [
-            (f, [i - 1 for i in free_directions(model, f)])
-            for f in canon
-            if f != full_dirs
-        ]
-        self.cover_pairs = [(f, up) for f, _, up in covers]
+        self.t_triples = [(f, i - 1, up) for f, i, up in direction_covers(k)]
         self.nonzero_masks = [f for f in canon if f]
         self.proper_masks = [f for f in canon if 0 < f < full_dirs]
         self.strict_sups = {
@@ -435,18 +441,14 @@ class SweepTables:
 
     def nt_verdict(self, fam) -> bool:
         phis = self.phis
+        for f, i0, fi in self.t_triples:
+            h = fam[f]
+            if h & ~(phis[i0][h] & fam[fi]):
+                return False
         jf = self.jf
         h0 = fam[0]
         for f in self.nonzero_masks:
             if fam[f] & ~jf[f][h0]:
-                return False
-        for f, frees in self.free_lists:
-            h = fam[f]
-            for i0 in frees:
-                if h & ~phis[i0][h]:
-                    return False
-        for f, fi in self.cover_pairs:
-            if fam[f] & ~fam[fi]:
                 return False
         for f in self.proper_masks:
             k0 = self.full
@@ -500,16 +502,6 @@ def _biased_candidates(rng, n, k, count):
         yield tuple(fam)
 
 
-def _check_table_limit(model: DirectionModel) -> None:
-    """Refuse, as a budget exit, a model too large for subset tables."""
-    if model.vertex_count > _TABLE_LIMIT:
-        raise BudgetExceededError(
-            f"sweeps need tables over every vertex subset, limited to "
-            f"{_TABLE_LIMIT} vertices; model has {model.vertex_count}",
-            {"vertices": model.vertex_count, "table_limit": _TABLE_LIMIT},
-        )
-
-
 def sweep_model(
     model: DirectionModel,
     *,
@@ -527,9 +519,8 @@ def sweep_model(
     fixed-point verdict (used by the harness self-test to prove the sweep
     can see an injected fault).  Models above 16 vertices raise
     :class:`BudgetExceededError` with stats ``{"vertices": n,
-    "table_limit": 16}``: the verdicts run on subset tables.
+    "table_limit": 16}`` from their first phi table.
     """
-    _check_table_limit(model)
     tables = SweepTables(model)
     tv = (lambda fam: t_check(model, fam)) if t_check else tables.t_verdict
     nv = tables.nt_verdict
@@ -675,7 +666,6 @@ def property_suite(models, *, stats: dict | None = None) -> list[DiscrepancyRepo
     for model, seed in _model_seed_pairs(models):
         counters["models"] += 1
         report = _reporter(model, seed, reports)
-        _check_table_limit(model)
         phis = [model.phi_table(i) for i in range(1, model.rank + 1)]
         xf_table, jf_table = division_tables(model)
         jf = j_family(model)

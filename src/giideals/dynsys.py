@@ -98,12 +98,12 @@ def _check_commuting(images, names) -> None:
         for j in range(i + 1, len(images)):
             clash = _first_clash(images[i], images[j])
             if clash is not None:
-                v, ij, ji = clash
+                v, ij, ji = (
+                    "undefined" if w is None else repr(names[w]) for w in clash
+                )
                 raise InvalidInputError(
                     f"maps {i + 1} and {j + 1} do not commute at point "
-                    f"{names[v]!r}: composites give "
-                    f"{'undefined' if ij is None else names[ij]!r} vs "
-                    f"{'undefined' if ji is None else names[ji]!r}"
+                    f"{v}: composites give {ij} vs {ji}"
                 )
 
 

@@ -85,7 +85,7 @@ class EnumerationResult:
 
     families: tuple[IdealFamily, ...]
     count: int
-    mode: str  # "T" | "O" | "relative_O" | "NT"
+    mode: str  # "T" | "O" | "relative_O"
     stats: dict = field(default_factory=dict, compare=False)
 
     def to_doc(self, model: DirectionModel) -> dict:

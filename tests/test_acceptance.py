@@ -5,6 +5,8 @@ Each criterion prints one pass/fail line with its key counts and timing
 corpus here is the shipped corpus: two exhaustive small-model legs plus 200
 seeded random models (rank at most 3, at most 5 vertices); candidate spaces
 beyond 2**24 are swept by seeded sampling, all smaller ones exhaustively.
+Criteria 3, 4, 6 and 7 take tens of seconds each and carry the ``slow``
+marker, so ``pytest -m "not slow"`` leaves them out of a quick run.
 """
 
 import itertools
@@ -89,6 +91,7 @@ def test_criterion_2_absorb_fixture():
     report(2, elapsed < 1.0, f"canonical family + nested counterexample, {elapsed:.3f}s")
 
 
+@pytest.mark.slow
 def test_criterion_3_theorem_sweep(corpus_legs):
     start = time.time()
     leg_a, leg_b, leg_c = corpus_legs
@@ -108,6 +111,7 @@ def test_criterion_3_theorem_sweep(corpus_legs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_rank1_degeneration():
     # entries beyond 1 cannot change any quantity in the calculus (only
     # source supports enter the operators), so the sweep is literal over
@@ -178,6 +182,7 @@ def _join_in(families, a, b):
     return out, uppers
 
 
+@pytest.mark.slow
 def test_criterion_6_lattice_contract(full_corpus):
     start = time.time()
     meet_checked = hasse_checked = join_pairs = minima = skipped = 0
@@ -249,6 +254,7 @@ def test_criterion_6_lattice_contract(full_corpus):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_bounded_oracles(full_corpus):
     start = time.time()
     lim_cases = lpi_cases = models = 0

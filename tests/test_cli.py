@@ -238,13 +238,18 @@ def test_random_deterministic_stdout(capsys):
 
 
 def test_random_rejection_budget_zero(capsys):
-    code, out, _ = run(
-        capsys,
-        "random", "--kind", "kgraph", "--rank", "2", "--vertices", "2",
-        "--seed", "1", "--strategy", "rejection", "--retries", "0",
-    )
-    assert code == 3
-    assert json.loads(out)["error"] == "budget-exceeded"
+    # a nonpositive retry count is invalid input under either strategy, not
+    # a budget exit: no model was tried
+    for strategy in ("rejection", "derived"):
+        for retries in ("0", "-3"):
+            code, out, err = run(
+                capsys,
+                "random", "--kind", "kgraph", "--rank", "2", "--vertices", "2",
+                "--seed", "1", "--strategy", strategy, "--retries", retries,
+            )
+            assert code == 2
+            assert out == ""
+            assert "--retries" in err
 
 
 def test_identical_invocations_byte_identical(capsys, fixture_dir):

@@ -10,6 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from giideals import (
+    BudgetExceededError,
     InvalidInputError,
     i_family,
     inv_set,
@@ -433,8 +434,9 @@ def test_ops_work_beyond_the_table_limit():
     n = 20
     mat = [[1 if w == (v + 1) % n else 0 for w in range(n)] for v in range(n)]
     model = KGraphSkeleton(tuple(f"v{i}" for i in range(n)), (mat,))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(BudgetExceededError) as info:
         model.phi_table(1)
+    assert info.value.stats == {"vertices": 20, "table_limit": 16}
     assert ker_phi(model, 1) == 0
     assert j_family(model)[1] == model.full
     assert largest_perp_invariant(model, model.full, 0) == model.full

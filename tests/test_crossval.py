@@ -61,6 +61,24 @@ def test_sweep_tables_match_public_checkers_sampled(model, data):
         assert tables.nt_verdict(fam) == is_nt_tuple(model, fam).verdict
 
 
+def test_sweep_tables_match_public_checkers_at_rank_3():
+    # the NT verdict tests its conditions in its own order; every exit of
+    # is_nt_tuple, including acceptance, must be reached and agree
+    exits = set()
+    for kind in ("kgraph", "dynsys"):
+        for seed in range(3):
+            model = random_model(kind, 3, 3, seed)
+            tables = SweepTables(model)
+            for fam in _biased_candidates(random.Random(seed), 3, 3, 2000):
+                nt = is_nt_tuple(model, fam)
+                exits.add(nt.violated_condition)
+                assert tables.t_verdict(fam) == is_t_family(model, fam).verdict
+                assert tables.nt_verdict(fam) == nt.verdict
+    assert exits == {
+        "condition_i", "invariance", "partial_order", "nt_condition_iv", None
+    }
+
+
 # ---------------------------------------------------------------------------
 # theorem sweep
 

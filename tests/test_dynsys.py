@@ -58,6 +58,19 @@ def test_load_rejects_commutation_violation():
     assert "do not commute" in message and "'a'" in message
 
 
+def test_commutation_message_quotes_only_point_names():
+    # an undefined composite is the bare word; a point named "undefined"
+    # keeps its quotes, so the two cannot be confused
+    with pytest.raises(InvalidInputError) as err:
+        PartialMapSystem(
+            ["p", "undefined"], [{"p": "undefined", "undefined": "p"}, {"p": "p"}]
+        )
+    assert str(err.value) == (
+        "maps 1 and 2 do not commute at point 'p': "
+        "composites give 'undefined' vs undefined"
+    )
+
+
 def test_load_rejects_schema_violations():
     with pytest.raises(InvalidInputError):
         load_dynsys({"kind": "dynsys", "rank": 1, "points": ["a"]})
