@@ -44,6 +44,7 @@ from .modelio import (
     load_model_path,
     model_fingerprint,
     read_json,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -230,12 +231,10 @@ def _cmd_lattice(args) -> int:
     result = _run_enumeration(model, args.relative, args.budget, 1)
     lat = build_lattice(model, result)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(export_dot(lat))
+        write_text(args.dot, export_dot(lat))
         _note(f"wrote {args.dot}")
     if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(export_json(lat))
+        write_text(args.json_path, export_json(lat))
         _note(f"wrote {args.json_path}")
     _emit(
         {

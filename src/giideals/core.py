@@ -37,7 +37,6 @@ _TABLE_LIMIT = 16
 
 VertexSet = int
 SubsetMask = int
-MultiDegree = tuple[int, ...]
 IdealFamily = tuple[int, ...]
 
 

@@ -54,6 +54,7 @@ from .core import (
     i_family,
     j_family,
     jf_of,
+    submasks,
 )
 from .dynsys import PartialMapSystem, _first_clash as _map_clash
 from .families import (
@@ -101,6 +102,8 @@ class CorpusSpec:
                 raise InvalidInputError(f"unknown corpus kind {kind!r}")
         if not self.kinds:
             raise InvalidInputError("corpus needs at least one kind")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise InvalidInputError(f"corpus kinds repeat: {list(self.kinds)}")
         bounds = (
             self.rank_min, self.rank_max, self.vertices_min, self.vertices_max,
             self.max_mult, self.sample_count, self.candidate_ceiling,
@@ -623,14 +626,8 @@ def katsura_oracle(model: DirectionModel) -> EnumerationResult:
     for h0 in range(full + 1):
         if h0 & ~model.phi(1, h0):
             continue
-        bound = jf_of(model, h0, 1)
-        loose = bound & ~h0
-        sub = loose
-        while True:
+        for sub in submasks(jf_of(model, h0, 1) & ~h0):
             pairs.append((h0, h0 | sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & loose
     return enumeration_result(model, pairs)
 
 
@@ -683,7 +680,7 @@ def property_suite(models, *, stats: dict | None = None) -> list[DiscrepancyRepo
             counters["families"] += 1
             if not is_invariant(model, fam).verdict:
                 report("t_family_invariant", {}, fam)
-            if not is_partially_ordered(fam, model).verdict:
+            if not is_partially_ordered(model, fam).verdict:
                 report("t_family_partially_ordered", {}, fam)
             for f in range(1, 1 << model.rank):
                 if fam[f] & ~jf_table[f][fam[0]]:

@@ -37,6 +37,7 @@ from .core import (
     largest_perp_invariant,
     lim_set,
     mask_label,
+    submasks,
 )
 from .modelio import family_to_doc
 
@@ -144,23 +145,20 @@ def is_invariant(model: DirectionModel, family) -> CheckReport:
     return CheckReport(True)
 
 
-def is_partially_ordered(family, model: DirectionModel | None = None) -> CheckReport:
+def is_partially_ordered(model: DirectionModel, family) -> CheckReport:
     """Monotone over the direction-set lattice (checked on covers)."""
-    fam = tuple(family)
-    nmasks = len(fam)
-    rank = nmasks.bit_length() - 1
-    if nmasks != 1 << rank:
-        raise InvalidInputError(f"family length {nmasks} is not a power of two")
-    for f, _, up in direction_covers(rank):
+    fam = check_family(model, family)
+    for f, _, up in direction_covers(model.rank):
         missing = fam[f] & ~fam[up]
         if missing:
-            vertices = [v for v in range(missing.bit_length()) if missing >> v & 1]
-            if model is not None:
-                vertices = [model.vertex_names[v] for v in vertices]
             return CheckReport(
                 False,
                 "partial_order",
-                {"F1": mask_label(f), "F2": mask_label(up), "vertices": vertices},
+                {
+                    "F1": mask_label(f),
+                    "F2": mask_label(up),
+                    "vertices": list(model.names_of_set(missing)),
+                },
             )
     return CheckReport(True)
 
@@ -233,7 +231,7 @@ def is_nt_tuple(model: DirectionModel, family) -> CheckReport:
         return fail("ii", "invariance", inv.witness)
     conditions["ii"] = "pass"
 
-    po = is_partially_ordered(fam, model)
+    po = is_partially_ordered(model, fam)
     if not po.verdict:
         return fail("iii", "partial_order", po.witness)
     conditions["iii"] = "pass"
@@ -279,7 +277,7 @@ def is_relative_o_family(model: DirectionModel, family, k_family) -> CheckReport
 def iter_t_families(
     model: DirectionModel,
     lower: IdealFamily | None = None,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     top_choices=None,
     stats: dict | None = None,
 ):
@@ -294,8 +292,9 @@ def iter_t_families(
     family is verified against the per-direction equations again before
     being yielded.
 
-    ``lower`` restricts the search to families containing it.  ``budget``
-    bounds the number of candidate evaluations.  ``top_choices`` is any
+    ``lower`` restricts the search to families containing it (``None``
+    means the all-empty family).  ``budget`` is a positive int bounding the
+    number of candidate evaluations.  ``top_choices`` is any
     iterable of entries at the full direction set, such as a slice of
     ``range(1 << n)`` (the default); each top spends one candidate, so the
     counts of disjoint slices add up.  ``stats`` (if given) accumulates
@@ -309,8 +308,7 @@ def iter_t_families(
     covers_of: list[list] = [[] for _ in range(nmasks)]
     for f, p, up in equations:
         covers_of[f].append((p, up))
-    if lower is not None:
-        lower = check_family(model, lower)
+    lower = (0,) * nmasks if lower is None else check_family(model, lower)
     if stats is None:
         stats = {}
     stats.setdefault("candidates", 0)
@@ -322,13 +320,13 @@ def iter_t_families(
 
     def spend():
         stats["candidates"] += 1
-        if budget is not None and stats["candidates"] > budget:
+        if stats["candidates"] > budget:
             raise BudgetExceededError(
                 "enumeration budget exceeded", dict(stats, budget=budget)
             )
 
     def candidates(f):
-        lb = lower[f] if lower is not None else 0
+        lb = lower[f]
         if f == full_dirs:
             for s in tops:
                 spend()
@@ -344,16 +342,11 @@ def iter_t_families(
         g = _gfp_meet([p for p, _ in uppers], meet_up)
         if lb & ~g:
             return
-        loose = g & ~lb
-        sub = loose
-        while True:
+        for sub in submasks(g & ~lb):
             s = lb | sub
             spend()
             if all(p[s] & upper == s for p, upper in uppers):
                 yield s
-            if sub == 0:
-                return
-            sub = (sub - 1) & loose
 
     def descend(idx):
         if idx == nmasks:
@@ -371,7 +364,7 @@ def iter_t_families(
 
 
 def enumerate_t_families(
-    model: DirectionModel, budget: int | None = DEFAULT_BUDGET
+    model: DirectionModel, budget: int = DEFAULT_BUDGET
 ) -> EnumerationResult:
     """All families satisfying the per-direction equations, canonical order."""
     stats: dict = {}
@@ -381,7 +374,7 @@ def enumerate_t_families(
 
 
 def enumerate_relative_o(
-    model: DirectionModel, k_family, budget: int | None = DEFAULT_BUDGET
+    model: DirectionModel, k_family, budget: int = DEFAULT_BUDGET
 ) -> EnumerationResult:
     """All fixed-point families containing ``k_family``, canonical order,
     with the mode :func:`enumeration_result` names."""
@@ -395,23 +388,21 @@ def enumerate_relative_o(
 # lattice operations
 
 
-def meet(f1, f2, model: DirectionModel | None = None) -> IdealFamily:
-    """Pointwise intersection.
+def meet(model: DirectionModel, f1, f2) -> IdealFamily:
+    """Greatest family below both arguments: the pointwise intersection.
 
     The fixed-point equations intersect (the operators preserve
-    intersections), so the meet of two valid families is again one; when a
-    model is supplied both inputs and the output are checked.
+    intersections), so the meet of two valid families is again one.  Both
+    inputs and the output are checked.
     """
-    a, b = tuple(f1), tuple(f2)
-    if len(a) != len(b):
-        raise InvalidInputError("families have different lengths")
+    a = check_family(model, f1)
+    b = check_family(model, f2)
+    for fam, who in ((a, "left"), (b, "right")):
+        if not is_t_family(model, fam).verdict:
+            raise InvalidInputError(f"{who} argument is not a valid family")
     out = tuple(x & y for x, y in zip(a, b))
-    if model is not None:
-        for fam, who in ((a, "left"), (b, "right")):
-            if not is_t_family(model, fam).verdict:
-                raise InvalidInputError(f"{who} argument is not a valid family")
-        if not is_t_family(model, out).verdict:
-            raise InternalConsistencyError("meet of two valid families failed the check")
+    if not is_t_family(model, out).verdict:
+        raise InternalConsistencyError("meet of two valid families failed the check")
     return out
 
 

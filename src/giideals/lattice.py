@@ -73,18 +73,16 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
     down = [0] * len(fams)
     for a_i, pa in enumerate(packed):
         for b_i in range(a_i + 1, len(fams)):
-            pb = packed[b_i]
-            m = pa & pb
+            m = pa & packed[b_i]
             if m not in packed_set:
                 raise InternalConsistencyError(
                     "family set is not closed under pointwise intersection"
                 )
+            # canonical order extends containment: a later family is never
+            # strictly below an earlier one, so only ``a <= b`` can hold
             if m == pa:
                 up[a_i] |= 1 << b_i
                 down[b_i] |= 1 << a_i
-            elif m == pb:
-                up[b_i] |= 1 << a_i
-                down[a_i] |= 1 << b_i
 
     docs = [family_to_doc(model, fam) for fam in fams]
     ids = [fingerprint(doc) for doc in docs]

@@ -122,3 +122,12 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{p} is not valid JSON: {exc}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; an unwritable path is invalid input."""
+    p = Path(path)
+    try:
+        p.write_text(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {p}: {exc}") from None

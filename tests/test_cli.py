@@ -199,6 +199,18 @@ def test_lattice_writes_files(capsys, fixture_dir, tmp_path):
     assert lat_doc["bottom"] == summary["bottom"]
 
 
+@pytest.mark.parametrize("flag", ["--dot", "--json"])
+def test_lattice_unwritable_output_is_invalid_input(capsys, fixture_dir, tmp_path, flag):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run(
+        capsys, "lattice", fx(fixture_dir, "loop1.json"), flag, str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write" in err
+    assert not target.exists()
+
+
 def test_crosscheck_single_model(capsys, fixture_dir):
     code, out, err = run(capsys, "crosscheck", fx(fixture_dir, "absorb2.json"))
     assert code == 0
@@ -482,6 +494,18 @@ def test_corpus_config_fields_are_type_checked(capsys, tmp_path, config):
     assert code == 2
     assert out == ""
     assert "wrong type" in err
+
+
+def test_corpus_with_repeated_kinds_is_invalid_input(capsys, tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({
+        "kinds": ["dynsys", "dynsys"], "exhaustive": True,
+        "rank_min": 1, "rank_max": 1, "vertices_max": 2,
+    }))
+    code, out, err = run(capsys, "crosscheck", "--corpus", str(corpus))
+    assert code == 2
+    assert out == ""
+    assert "kinds repeat" in err
 
 
 @pytest.mark.parametrize(

@@ -301,6 +301,13 @@ def test_corpus_spec_validation():
         CorpusSpec.from_doc({"bogus": 1})
 
 
+def test_corpus_spec_rejects_repeated_kinds():
+    with pytest.raises(InvalidInputError, match="kinds repeat"):
+        CorpusSpec(kinds=("dynsys", "dynsys"))
+    with pytest.raises(InvalidInputError, match="kinds repeat"):
+        CorpusSpec.from_doc({"kinds": ["kgraph", "dynsys", "kgraph"]})
+
+
 def test_exhaustive_corpus_counts():
     spec = CorpusSpec(
         kinds=("dynsys",), rank_min=2, rank_max=2,

@@ -44,7 +44,7 @@ def test_violated_conditions_come_from_the_documented_enum():
     nested = fixtures.absorb2_nested_family(model)
     seen = {
         is_invariant(fixtures.shift2(), j_family(fixtures.shift2())).violated_condition,
-        is_partially_ordered((1, 0)).violated_condition,
+        is_partially_ordered(fixtures.loop1(), (1, 0)).violated_condition,
         is_t_family(model, nested).violated_condition,
         is_nt_tuple(model, nested).violated_condition,
         is_relative_o_family(
@@ -71,21 +71,29 @@ def test_invariant_trivial_and_canonical():
 
 def test_partially_ordered_examples():
     model = fixtures.absorb2()
-    assert is_partially_ordered(i_family(model), model).verdict
+    assert is_partially_ordered(model, i_family(model)).verdict
 
     loop = fixtures.loop1()
-    report = is_partially_ordered((loop.full, 0), loop)
+    report = is_partially_ordered(loop, (loop.full, 0))
     assert not report.verdict
     assert report.violated_condition == "partial_order"
     assert report.witness["F1"] == "" and report.witness["F2"] == "1"
 
-    assert is_partially_ordered(all_full(model), model).verdict
+    assert is_partially_ordered(model, all_full(model)).verdict
 
 
-def test_partially_ordered_without_model_uses_indices():
-    report = is_partially_ordered((1, 0))
+def test_partially_ordered_witness_names_vertices():
+    report = is_partially_ordered(fixtures.funnel1(), (0b11, 0b10))
     assert not report.verdict
-    assert report.witness["vertices"] == [0]
+    assert report.witness == {"F1": "", "F2": "1", "vertices": ["u"]}
+
+
+def test_partially_ordered_rejects_malformed_families():
+    # too few entries for rank 2, and a vertex index the model lacks
+    with pytest.raises(InvalidInputError):
+        is_partially_ordered(fixtures.absorb2(), (0, 1))
+    with pytest.raises(InvalidInputError):
+        is_partially_ordered(fixtures.loop1(), (4, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +258,7 @@ def test_meet_and_join_extremes():
     fams = enumerate_t_families(model).families
     bottom = all_empty(model)
     for fam in fams:
-        assert meet(bottom, fam, model) == bottom
+        assert meet(model, bottom, fam) == bottom
         assert join(model, bottom, fam) == fam
 
 
@@ -262,7 +270,7 @@ def test_meet_join_on_incomparable_pair():
     a = (0, v, 0, v)
     b = (0, 0, v, v)
     assert a in fams and b in fams
-    assert meet(a, b, model) == (0, 0, 0, v)
+    assert meet(model, a, b) == (0, 0, 0, v)
     assert join(model, a, b) == (0, v, v, v)
 
 
@@ -270,18 +278,18 @@ def test_meet_of_enumerated_pairs_is_t_family():
     for model in (fixtures.funnel2(), fixtures.absorb2()):
         fams = enumerate_t_families(model).families
         for a, b in itertools.combinations(fams, 2):
-            assert is_t_family(model, meet(a, b)).verdict
+            assert is_t_family(model, meet(model, a, b)).verdict
 
 
 def test_meet_join_validate_inputs():
     model = fixtures.loop1()
     bad = (model.full, 0)  # not monotone, fails the equations
     with pytest.raises(InvalidInputError):
-        meet(bad, bad, model)
+        meet(model, bad, bad)
     with pytest.raises(InvalidInputError):
         join(model, bad, bad)
     with pytest.raises(InvalidInputError):
-        meet((0,), (0, 0))
+        meet(model, (0,), (0, 0))
 
 
 @given(small_models(max_rank=2, max_vertices=3), st.data())
@@ -289,7 +297,7 @@ def test_meet_of_valid_families_is_valid_sampled(model, data):
     fams = enumerate_t_families(model).families
     a = data.draw(st.sampled_from(fams))
     b = data.draw(st.sampled_from(fams))
-    got = meet(a, b, model)
+    got = meet(model, a, b)
     assert got in set(fams)
 
 

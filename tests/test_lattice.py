@@ -83,6 +83,23 @@ def test_reduction_matches_naive_oracle_on_random_leg_model():
     assert_covers_match_naive_oracle(model, result)
 
 
+def assert_canonical_order_extends_containment(model):
+    # build_lattice relies on this: no family lies strictly below an earlier one
+    fams = enumerate_t_families(model).families
+    for j, later in enumerate(fams):
+        assert not any(le(later, earlier) for earlier in fams[:j])
+
+
+def test_canonical_order_extends_containment():
+    for model in fixtures.all_models():
+        assert_canonical_order_extends_containment(model)
+
+
+@given(small_models(max_rank=2, max_vertices=3))
+def test_canonical_order_extends_containment_sampled(model):
+    assert_canonical_order_extends_containment(model)
+
+
 def test_cover_relation_irreflexive_acyclic():
     model = fixtures.funnel2()
     lat = build_lattice(model, enumerate_t_families(model))

@@ -1,5 +1,7 @@
 """Document I/O: dispatch, family round trips, fingerprints."""
 
+import json
+
 import pytest
 
 from giideals import InvalidInputError, load_model
@@ -84,3 +86,25 @@ def test_serialized_sets_are_index_ordered():
     model = fixtures.funnel2()
     doc = family_to_doc(model, (model.full,) * 4)
     assert doc["sets"]["1,2"] == ["u", "w"]
+
+
+FIXTURE_MODELS = {
+    "shift2": fixtures.shift2,
+    "absorb2": fixtures.absorb2,
+    "loop1": fixtures.loop1,
+    "loops2": fixtures.loops2,
+    "funnel1": fixtures.funnel1,
+    "funnel2": fixtures.funnel2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_MODELS))
+def test_fixture_file_matches_constructor(fixture_dir, name):
+    doc = json.loads((fixture_dir / f"{name}.json").read_text())
+    assert doc == FIXTURE_MODELS[name]().to_doc()
+
+
+def test_nested_family_file_matches_constructor(fixture_dir):
+    doc = json.loads((fixture_dir / "absorb2_nested_family.json").read_text())
+    model = fixtures.absorb2()
+    assert doc == family_to_doc(model, fixtures.absorb2_nested_family())

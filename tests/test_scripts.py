@@ -44,3 +44,22 @@ def test_render_fixture_lattices(tmp_path):
     for name in ("shift2", "absorb2", "loop1", "loops2", "funnel1", "funnel2"):
         assert (tmp_path / f"{name}.dot").read_text().startswith("digraph")
         json.loads((tmp_path / f"{name}.json").read_text())
+
+
+def test_cli_digest_is_stable():
+    runs = [
+        subprocess.run(
+            [sys.executable, str(SCRIPTS / "cli_digest.py")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for _ in range(2)
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert lines == runs[1].stdout.splitlines()
+    assert len(lines) == 77
+    assert all(len(line.split()) == 4 for line in lines)
+    assert "corpus-repeated-kinds 2" in runs[0].stdout
