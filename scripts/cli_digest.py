@@ -73,6 +73,9 @@ def invocations(inputs: Path):
     loop1 = str(FIXTURES / "loop1.json")
     yield "lattice-unwritable-dot", ["lattice", loop1, "--dot", "{out}/missing/x.dot"]
     yield "lattice-unwritable-json", ["lattice", loop1, "--json", "{out}/missing/x.json"]
+    yield "lattice-unwritable-second", [
+        "lattice", loop1, "--dot", "{out}/a.dot", "--json", "{out}/missing/a.json"
+    ]
 
     repeated = inputs / "repeated_kinds.json"
     repeated.write_text(json.dumps({

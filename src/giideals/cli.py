@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 from .core import (
     BudgetExceededError,
@@ -230,12 +231,23 @@ def _cmd_lattice(args) -> int:
     model = load_model_path(args.model)
     result = _run_enumeration(model, args.relative, args.budget, 1)
     lat = build_lattice(model, result)
-    if args.dot:
-        write_text(args.dot, export_dot(lat))
-        _note(f"wrote {args.dot}")
-    if args.json_path:
-        write_text(args.json_path, export_json(lat))
-        _note(f"wrote {args.json_path}")
+    outputs = [
+        (path, export(lat))
+        for path, export in ((args.dot, export_dot), (args.json_path, export_json))
+        if path
+    ]
+    # an unwritable path is invalid input, and an exit-2 run writes nothing
+    written = []
+    try:
+        for path, text in outputs:
+            write_text(path, text)
+            written.append(path)
+    except InvalidInputError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
+    for path in written:
+        _note(f"wrote {path}")
     _emit(
         {
             "nodes": len(lat.nodes),

@@ -83,8 +83,10 @@ def mask_members(mask: SubsetMask) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@functools.cache
 def mask_label(mask: SubsetMask) -> str:
-    """Serialized form of a direction set: comma-joined sorted elements."""
+    """Serialized form of a direction set: comma-joined sorted elements;
+    memoised."""
     return ",".join(str(i) for i in mask_members(mask))
 
 

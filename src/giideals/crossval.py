@@ -213,8 +213,12 @@ def random_model(
         raise InvalidInputError(f"unknown model kind {kind!r}")
     if strategy not in ("derived", "rejection"):
         raise InvalidInputError(f"unknown strategy {strategy!r}")
-    if rank < 1 or vertices < 1 or vertices > MAX_VERTICES or max_mult < 1:
+    if rank < 1 or vertices < 1 or max_mult < 1:
         raise InvalidInputError("rank, vertices and max_mult must be positive")
+    if vertices > MAX_VERTICES:
+        raise InvalidInputError(
+            f"at most {MAX_VERTICES} vertices supported, got {vertices}"
+        )
     tag = 11 if kind == "kgraph" else 13
     rng = random.Random(_mix(tag, rank, vertices, seed, max_mult))
     if kind == "kgraph":

@@ -6,12 +6,17 @@ that document, so ids are stable across runs, and both exports read its
 ``sets``, whose keys are in canonical direction-set order.  Cover edges are
 the transitive reduction of pointwise containment.  Exports are byte-stable
 for a given input.
+
+The JSON export lays out its one fixed document shape directly, string
+leaves through the C encoder :func:`json.encoder.encode_basestring_ascii`,
+and is byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``
+(whose ``indent`` always takes the pure-Python encoder).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (
     DirectionModel,
@@ -118,13 +123,15 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
 
 def _node_label(sets: dict[str, list[str]]) -> str:
     """Compact family notation: nonempty entries as "F:{v,..}", "()" for the
-    empty direction set; the all-empty family reads "all-empty"."""
+    empty direction set; the all-empty family reads "all-empty".  Escaped
+    for a quoted DOT string."""
     parts = [
         f"{label or '()'}:{{{','.join(names)}}}"
         for label, names in sets.items()
         if names
     ]
-    return " ".join(parts) if parts else "all-empty"
+    text = " ".join(parts) if parts else "all-empty"
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _height(fam: IdealFamily) -> int:
@@ -149,17 +156,36 @@ def export_dot(lattice: LatticeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _block(items, indent: str, brackets: str = "[]") -> str:
+    """A JSON array (or, with ``"{}"``, object) of encoded items, one per
+    line below ``indent``; the layout of ``json.dumps(..., indent=2)``."""
+    inner = indent + "  "
+    # an encoded item is never empty, so an empty body means no items
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}" if body else brackets
+
+
+def _node(nid: str, sets: dict[str, list[str]]) -> str:
+    """One ``nodes`` entry at its depth: ``family`` (keys sorted), ``id``."""
+    family = [
+        f"{_quote(label)}: {_block(map(_quote, names), '        ')}"
+        for label, names in sorted(sets.items())
+    ]
+    family_text = _block(family, "      ", "{}")
+    return f'{{\n      "family": {family_text},\n      "id": {_quote(nid)}\n    }}'
+
+
 def export_json(lattice: LatticeGraph) -> str:
-    """JSON mirror of the lattice fields, stable for a given input."""
-    doc = {
-        "rank": lattice.rank,
-        "vertices": list(lattice.vertex_names),
-        "nodes": [
-            {"id": nid, "family": sets}
-            for (nid, _), sets in zip(lattice.nodes, lattice.sets)
-        ],
-        "cover_edges": [[lo, hi] for lo, hi in lattice.cover_edges],
-        "bottom": lattice.bottom,
-        "top": lattice.top,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """JSON mirror of the lattice fields, stable for a given input: keys
+    sorted, two-space indent, ASCII only."""
+    nodes = [_node(nid, sets) for (nid, _), sets in zip(lattice.nodes, lattice.sets)]
+    edges = [_block([_quote(lo), _quote(hi)], "    ") for lo, hi in lattice.cover_edges]
+    fields = [
+        f'"bottom": {_quote(lattice.bottom)}',
+        f'"cover_edges": {_block(edges, "  ")}',
+        f'"nodes": {_block(nodes, "  ")}',
+        f'"rank": {lattice.rank}',
+        f'"top": {_quote(lattice.top)}',
+        f'"vertices": {_block(map(_quote, lattice.vertex_names), "  ")}',
+    ]
+    return _block(fields, "", "{}") + "\n"

@@ -32,9 +32,12 @@ from .dynsys import load_dynsys
 from .kgraph import load_kgraph
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc) -> str:
     """Deterministic one-line JSON used for hashing and stdout."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 def fingerprint(doc) -> str:

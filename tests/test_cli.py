@@ -211,6 +211,30 @@ def test_lattice_unwritable_output_is_invalid_input(capsys, fixture_dir, tmp_pat
     assert not target.exists()
 
 
+def test_lattice_failed_second_write_leaves_no_file(capsys, fixture_dir, tmp_path):
+    dot = tmp_path / "a.dot"
+    code, out, err = run(
+        capsys,
+        "lattice", fx(fixture_dir, "loop1.json"),
+        "--dot", str(dot), "--json", str(tmp_path / "missing" / "a.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_random_too_many_vertices_message(capsys):
+    code, out, err = run(
+        capsys, "random", "--kind", "kgraph", "--rank", "2", "--vertices", "65",
+        "--seed", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "at most 64 vertices supported, got 65" in err
+    assert "positive" not in err
+
+
 def test_crosscheck_single_model(capsys, fixture_dir):
     code, out, err = run(capsys, "crosscheck", fx(fixture_dir, "absorb2.json"))
     assert code == 0

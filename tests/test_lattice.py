@@ -1,6 +1,7 @@
 """Lattice construction, transitive reduction, exports."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from giideals import (
 from giideals.core import InvalidInputError
 from giideals.families import EnumerationResult
 from giideals.kgraph import KGraphSkeleton
-from giideals.modelio import family_to_doc, fingerprint
+from giideals.modelio import canonical_json, family_to_doc, fingerprint
 from giideals import fixtures, oracles
 from giideals.crossval import builtin_random_models
 
@@ -210,3 +211,68 @@ def test_family_of_lookup():
     assert lat.family_of(lat.top) == (model.full, model.full)
     with pytest.raises(InvalidInputError):
         lat.family_of("nope")
+
+
+def reference_doc(lattice):
+    """The document ``export_json`` lays out, built as plain JSON values."""
+    return {
+        "rank": lattice.rank,
+        "vertices": list(lattice.vertex_names),
+        "nodes": [
+            {"id": nid, "family": sets}
+            for (nid, _), sets in zip(lattice.nodes, lattice.sets)
+        ],
+        "cover_edges": [[lo, hi] for lo, hi in lattice.cover_edges],
+        "bottom": lattice.bottom,
+        "top": lattice.top,
+    }
+
+
+# vertex names holding a quote, a backslash, a control character, non-ASCII
+# text (one outside the BMP) and the empty string
+ODD_NAMES = ('a"b', "c\\d", "e\x01\tf", "\u00e9\u2603", "\U0001d11e", "")
+
+
+def export_lattices():
+    small = [
+        m for m, _ in builtin_random_models(60) if enumerate_t_families(m).count <= 200
+    ]
+    assert len(small) >= 40
+    models = list(fixtures.all_models()) + small[:40]
+    models.append(KGraphSkeleton(ODD_NAMES[:2], ([[1, 0], [0, 1]],)))
+    n = len(ODD_NAMES)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    models.append(KGraphSkeleton(ODD_NAMES, (identity,)))
+    models.append(
+        KGraphSkeleton(ODD_NAMES[2:5], ([[1, 1, 0], [0, 1, 0], [0, 0, 0]],) * 2)
+    )
+    lattices = [build_lattice(m, enumerate_t_families(m)) for m in models]
+    loops2 = fixtures.loops2()
+    singleton = EnumerationResult(((loops2.full,) * 4,), 1, "T")
+    lattices.append(build_lattice(loops2, singleton))
+    return lattices
+
+
+def test_json_export_is_byte_identical_to_json_dumps():
+    lattices = export_lattices()
+    assert lattices[-1].cover_edges == ()
+    assert '"cover_edges": [],' in export_json(lattices[-1])
+    for lat in lattices:
+        doc = reference_doc(lat)
+        assert export_json(lat) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        families = [{"rank": lat.rank, "sets": sets} for sets in lat.sets]
+        for d in [doc, *families]:
+            compact = json.dumps(d, sort_keys=True, separators=(",", ":"))
+            assert canonical_json(d) == compact
+
+
+DOT_LABEL = re.compile(r'^  "[0-9a-f]{16}" \[label="((?:[^"\\]|\\.)*)"\];$')
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    model = KGraphSkeleton(('a"b', "c\\d", "\u00e9"), (identity,))
+    dot = export_dot(build_lattice(model, enumerate_t_families(model)))
+    labels = [line for line in dot.splitlines() if "[label=" in line]
+    assert labels and all(DOT_LABEL.match(line) for line in labels)
+    assert '[label="():{a\\"b,c\\\\d,\u00e9} 1:{a\\"b,c\\\\d,\u00e9}"];' in dot

@@ -1,5 +1,6 @@
 """The experiment scripts stay runnable."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,6 +61,10 @@ def test_cli_digest_is_stable():
         assert proc.returncode == 0, proc.stderr
     lines = runs[0].stdout.splitlines()
     assert lines == runs[1].stdout.splitlines()
-    assert len(lines) == 77
+    assert len(lines) == 78
     assert all(len(line.split()) == 4 for line in lines)
     assert "corpus-repeated-kinds 2" in runs[0].stdout
+    # a run that exits 2 on its second write leaves no file: the digest of
+    # no files is the digest of the empty byte string
+    nothing = hashlib.sha256().hexdigest()[:16]
+    assert f"lattice-unwritable-second 2 {nothing} {nothing}" in lines
