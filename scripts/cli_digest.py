@@ -58,6 +58,10 @@ def invocations(inputs: Path):
                 "enumerate", funnel2, "--relative", str(bound),
                 "--budget", budget, "--jobs", jobs,
             ]
+    yield "lattice-relative:funnel2", [
+        "lattice", funnel2, "--relative", str(bound),
+        "--dot", "{out}/lat.dot", "--json", "{out}/lat.json",
+    ]
 
     corpus = str(FIXTURES / "corpus_small.json")
     for jobs in ("1", "2"):
@@ -76,6 +80,7 @@ def invocations(inputs: Path):
     yield "lattice-unwritable-second", [
         "lattice", loop1, "--dot", "{out}/a.dot", "--json", "{out}/missing/a.json"
     ]
+    yield "lattice-same-path", ["lattice", loop1, "--dot", "{out}/x", "--json", "{out}/x"]
 
     repeated = inputs / "repeated_kinds.json"
     repeated.write_text(json.dumps({

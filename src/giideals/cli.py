@@ -228,6 +228,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    paths = [Path(path).resolve() for path in (args.dot, args.json_path) if path]
+    if len(set(paths)) < len(paths):
+        raise InvalidInputError("--dot and --json name the same file")
     model = load_model_path(args.model)
     result = _run_enumeration(model, args.relative, args.budget, 1)
     lat = build_lattice(model, result)

@@ -1,11 +1,26 @@
 """Family lattices: cover structure, DOT and JSON export.
 
-Nodes are enumerated families.  Each node's family is rendered once, by
+Nodes are enumerated families; cover edges are the transitive reduction of
+pointwise containment.  The T-families form a finite distributive lattice
+(two closed ideals meet in their product, and the parametrisation is an
+order isomorphism), so by Birkhoff's theorem each family ``x`` is fixed by
+its down-set ``D(x)``, the join-irreducible families below it, and ``x``
+is covered by exactly the families with down-set ``D(x) | j``, for each
+``j`` outside ``D(x)`` whose strictly lower join-irreducibles lie in
+``D(x)``.  The join-irreducibles are closures of single atoms "v in H_F",
+found with :func:`giideals.families.t_closure`.  Canonical order extends
+containment, so an interval's bottom is its first family and its top its
+last.  A family set that is not an interval of the T-family lattice (a
+repeated down-set, a first family not below every other, a last family
+other than all-V, or a missing cover) raises
+:class:`~giideals.core.InternalConsistencyError`: the enumeration, a
+top-down greatest-fixed-point search, disagrees with the Horn closure.
+
+Each node's family is rendered once, by
 :func:`giideals.modelio.family_to_doc`: the node id is the fingerprint of
 that document, so ids are stable across runs, and both exports read its
-``sets``, whose keys are in canonical direction-set order.  Cover edges are
-the transitive reduction of pointwise containment.  Exports are byte-stable
-for a given input.
+``sets``, whose keys are in canonical direction-set order.  Exports are
+byte-stable for a given input.
 
 The JSON export lays out its one fixed document shape directly, string
 leaves through the C encoder :func:`json.encoder.encode_basestring_ascii`,
@@ -16,7 +31,10 @@ and is byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
+from operator import or_
 
 from .core import (
     DirectionModel,
@@ -24,7 +42,7 @@ from .core import (
     InternalConsistencyError,
     InvalidInputError,
 )
-from .families import EnumerationResult, family_sort_key
+from .families import EnumerationResult, family_sort_key, t_closure
 from .modelio import family_to_doc, fingerprint
 
 
@@ -52,79 +70,97 @@ class LatticeGraph:
         raise InvalidInputError(f"unknown node id {node_id!r}")
 
 
+def _pack(fam: IdealFamily, width: int) -> int:
+    """The family as one int, entry ``m`` shifted by ``m * width``."""
+    return sum(s << (m * width) for m, s in enumerate(fam))
+
+
+def _join_irreducibles(model: DirectionModel) -> list[int]:
+    """The join-irreducible T-families, packed, ascending: the closures ``c``
+    of atoms "v in H_F" that the closure of the bottom (all-empty, so no
+    atom lies in it) and the atom closures strictly below ``c`` misses."""
+    width, nmasks = model.vertex_count, 1 << model.rank
+    empty = (0,) * nmasks
+    closures = {0: empty}
+    for m, v in product(range(nmasks), range(width)):
+        c = t_closure(model, empty[:m] + (1 << v,) + empty[m + 1 :])
+        closures[_pack(c, width)] = c
+
+    def closed_below(p: int) -> int:
+        union = reduce(or_, (q for q in closures if q != p and q & ~p == 0), 0)
+        if union in closures:  # already closed: no closure call needed
+            return union
+        fam = tuple(union >> (m * width) & model.full for m in range(nmasks))
+        return _pack(t_closure(model, fam), width)
+
+    return sorted(p for p in closures if closed_below(p) != p)
+
+
 def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGraph:
-    """Cover structure of an enumeration, with meet-closure verified.
+    """Hasse diagram of an enumeration, checked to be an interval of the
+    T-family lattice.
 
-    A missing pairwise meet means a checker or enumerator bug, so it raises
-    an internal-consistency error rather than an input error.
-
-    Each family is packed into one int (the entry at mask ``m`` shifted by
-    ``m * |V|``), so containment and meets are single int operations.  Every
-    node gets bitmasks of its strict upper and lower bounds, by node index;
-    ``b`` covers ``a`` iff ``b`` is above ``a`` and nothing is strictly
-    between, i.e. ``up[a] & down[b] == 0``.
+    ``x`` is covered by the families with down-set ``D(x) | j`` (``D(x)``:
+    the join-irreducibles ``j <= x``, as a bitmask), one for each ``j``
+    outside ``D(x)`` whose strictly lower join-irreducibles lie in ``D(x)``.
+    Canonical order extends containment (where ``a < b`` first differ,
+    ``a``'s entry is a proper subset, hence a smaller int), so the bottom is
+    first and the top last.  A repeated down-set, a first family not below
+    all, a last family other than all-V or a missing cover is an enumerator
+    bug: an internal-consistency error, not an input error.
     """
-    fams = list(result.families)
+    fams = sorted(result.families, key=lambda fam: family_sort_key(model, fam))
     if not fams:
         raise InvalidInputError("cannot build a lattice from an empty enumeration")
-    fams.sort(key=lambda fam: family_sort_key(model, fam))
-    width = model.vertex_count
-    packed = [sum(s << (m * width) for m, s in enumerate(fam)) for fam in fams]
-    packed_set = set(packed)
-    if len(packed_set) != len(fams):
-        raise InternalConsistencyError("duplicate families in enumeration result")
+    bits = [(1 << k, p) for k, p in enumerate(_join_irreducibles(model))]
 
-    up = [0] * len(fams)
-    down = [0] * len(fams)
-    for a_i, pa in enumerate(packed):
-        for b_i in range(a_i + 1, len(fams)):
-            m = pa & packed[b_i]
-            if m not in packed_set:
-                raise InternalConsistencyError(
-                    "family set is not closed under pointwise intersection"
-                )
-            # canonical order extends containment: a later family is never
-            # strictly below an earlier one, so only ``a <= b`` can hold
-            if m == pa:
-                up[a_i] |= 1 << b_i
-                down[b_i] |= 1 << a_i
+    def down(p: int) -> int:
+        return sum(b for b, q in bits if q & ~p == 0)
+
+    lower = [(b, down(q)) for b, q in bits]  # (j, the down-set of j)
+    downs = [down(_pack(fam, model.vertex_count)) for fam in fams]
+    index = {d: i for i, d in enumerate(downs)}
+    # each j whose down-set leaves only j outside D(x) adds D(x) | j, or None
+    ups = [[index.get(d | b) for b, dj in lower if dj & ~d == b] for d in downs]
+    if (
+        len(index) < len(fams)
+        or any(downs[0] & ~d for d in downs)
+        or any(s != model.full for s in fams[-1])
+        or any(None in u for u in ups)
+    ):
+        raise InternalConsistencyError("family set is not an interval of T-families")
 
     docs = [family_to_doc(model, fam) for fam in fams]
     ids = [fingerprint(doc) for doc in docs]
-
-    edges = []
-    for a_i, above in enumerate(up):
-        rest = above
-        while rest:
-            low = rest & -rest
-            b_i = low.bit_length() - 1
-            if above & down[b_i] == 0:
-                edges.append((ids[a_i], ids[b_i]))
-            rest ^= low
-
-    bottoms = [i for i, below in enumerate(down) if not below]
-    tops = [i for i, above in enumerate(up) if not above]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise InternalConsistencyError("family set has no unique bottom or top")
-    top_fam = fams[tops[0]]
-    if any(s != model.full for s in top_fam):
-        raise InternalConsistencyError("top of the family set is not the all-V family")
-
+    # edges by lower node, then by canonical index of the upper node
+    edges = [(ids[a], ids[b]) for a, u in enumerate(ups) for b in sorted(u)]
     return LatticeGraph(
         rank=model.rank,
         vertex_names=model.vertex_names,
         nodes=tuple(zip(ids, fams)),
         cover_edges=tuple(edges),
-        bottom=ids[bottoms[0]],
-        top=ids[tops[0]],
+        bottom=ids[0],
+        top=ids[-1],
         sets=tuple(doc["sets"] for doc in docs),
     )
 
 
-def _node_label(sets: dict[str, list[str]]) -> str:
+def _shown_name(name: str) -> str:
+    """A vertex name as a label shows it: quoted, with ``\\`` and ``"``
+    escaped, when it is empty, begins with ``"`` or holds ``,``, ``{``,
+    ``}`` or a space, so distinct families never read alike."""
+    if name and name[0] != '"' and set(name).isdisjoint(",{} "):
+        return name
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _node_label(sets: dict[str, list[str]], quoted: dict[str, str]) -> str:
     """Compact family notation: nonempty entries as "F:{v,..}", "()" for the
-    empty direction set; the all-empty family reads "all-empty".  Escaped
-    for a quoted DOT string."""
+    empty direction set, names in ``quoted`` replaced by their quoted form;
+    the all-empty family reads "all-empty".  Escaped for a quoted DOT
+    string."""
+    if quoted:
+        sets = {f: [quoted.get(n, n) for n in names] for f, names in sets.items()}
     parts = [
         f"{label or '()'}:{{{','.join(names)}}}"
         for label, names in sets.items()
@@ -141,8 +177,10 @@ def _height(fam: IdealFamily) -> int:
 def export_dot(lattice: LatticeGraph) -> str:
     """Graphviz digraph, edges lower -> upper, rank hints by family height."""
     lines = ["digraph family_lattice {", "  rankdir=BT;", '  node [shape=box];']
+    # usually empty, and then labels join the names as they are
+    quoted = {n: q for n in lattice.vertex_names if (q := _shown_name(n)) != n}
     for (nid, _), sets in zip(lattice.nodes, lattice.sets):
-        lines.append(f'  "{nid}" [label="{_node_label(sets)}"];')
+        lines.append(f'  "{nid}" [label="{_node_label(sets, quoted)}"];')
     for lo, hi in lattice.cover_edges:
         lines.append(f'  "{lo}" -> "{hi}";')
     by_height: dict[int, list[str]] = {}

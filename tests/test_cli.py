@@ -224,6 +224,19 @@ def test_lattice_failed_second_write_leaves_no_file(capsys, fixture_dir, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_lattice_same_output_path_is_invalid_input(capsys, fixture_dir, tmp_path):
+    (tmp_path / "sub").mkdir()
+    code, out, err = run(
+        capsys,
+        "lattice", fx(fixture_dir, "loop1.json"),
+        "--dot", str(tmp_path / "x"), "--json", str(tmp_path / "sub" / ".." / "x"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "same file" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+
+
 def test_random_too_many_vertices_message(capsys):
     code, out, err = run(
         capsys, "random", "--kind", "kgraph", "--rank", "2", "--vertices", "65",

@@ -10,11 +10,12 @@ from hypothesis import given
 from giideals import (
     InternalConsistencyError,
     build_lattice,
+    enumerate_relative_o,
     enumerate_t_families,
     export_dot,
     export_json,
 )
-from giideals.core import InvalidInputError
+from giideals.core import InvalidInputError, i_family
 from giideals.families import EnumerationResult
 from giideals.kgraph import KGraphSkeleton
 from giideals.modelio import canonical_json, family_to_doc, fingerprint
@@ -67,14 +68,22 @@ def assert_covers_match_naive_oracle(model, result):
     assert list(lat.cover_edges) == naive
 
 
+def assert_both_lattices_match_naive_oracle(model):
+    # the T-lattice and its interval above the I-family
+    assert_covers_match_naive_oracle(model, enumerate_t_families(model))
+    assert_covers_match_naive_oracle(
+        model, enumerate_relative_o(model, i_family(model))
+    )
+
+
 def test_reduction_matches_naive_oracle():
     for model in fixtures.all_models():
-        assert_covers_match_naive_oracle(model, enumerate_t_families(model))
+        assert_both_lattices_match_naive_oracle(model)
 
 
 @given(small_models(max_rank=2, max_vertices=3))
 def test_reduction_matches_naive_oracle_sampled(model):
-    assert_covers_match_naive_oracle(model, enumerate_t_families(model))
+    assert_both_lattices_match_naive_oracle(model)
 
 
 def test_reduction_matches_naive_oracle_on_random_leg_model():
@@ -124,6 +133,27 @@ def test_meet_closure_violation_raises():
 
 def meet_pointwise(a, b):
     return tuple(x & y for x, y in zip(a, b))
+
+
+def test_missing_family_in_meet_closed_set_raises():
+    # loop1's chain without its middle family is still meet-closed, but no
+    # interval of the T-family lattice: the bottom's cover is missing
+    model = fixtures.loop1()
+    bottom, middle, top = enumerate_t_families(model).families
+    assert le(bottom, middle) and le(middle, top)
+    with pytest.raises(InternalConsistencyError, match="not an interval"):
+        build_lattice(model, EnumerationResult((bottom, top), 2, "T"))
+
+
+def test_random_leg_model_37_lattice():
+    # the largest lattice any test builds: 14,400 families
+    model, _ = builtin_random_models(38)[37]
+    lat = build_lattice(model, enumerate_t_families(model))
+    assert (len(lat.nodes), len(lat.cover_edges)) == (14_400, 74_880)
+    (first, bottom), (last, top) = lat.nodes[0], lat.nodes[-1]
+    assert (lat.bottom, lat.top) == (first, last)
+    assert bottom == (0,) * 8
+    assert top == (model.full,) * 8
 
 
 def test_empty_enumeration_rejected():
@@ -276,3 +306,28 @@ def test_dot_labels_escape_quotes_and_backslashes():
     labels = [line for line in dot.splitlines() if "[label=" in line]
     assert labels and all(DOT_LABEL.match(line) for line in labels)
     assert '[label="():{a\\"b,c\\\\d,\u00e9} 1:{a\\"b,c\\\\d,\u00e9}"];' in dot
+
+
+def dot_labels(model):
+    lat = build_lattice(model, enumerate_t_families(model))
+    labels = [
+        DOT_LABEL.match(line).group(1)
+        for line in export_dot(lat).splitlines()
+        if "[label=" in line
+    ]
+    assert len(labels) == len(lat.nodes)
+    return labels
+
+
+def test_dot_labels_distinct_for_odd_vertex_names():
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # joined bare, {a, b} and {"a,b"} would both read "1:{a,b}"
+    labels = dot_labels(KGraphSkeleton(("a", "b", "a,b"), (identity,)))
+    assert len(set(labels)) == len(labels) == 27
+    assert "1:{a,b}" in labels and '1:{\\"a,b\\"}' in labels
+    # bare names may hold a quote, but a leading one would mimic quoting
+    labels = dot_labels(KGraphSkeleton(('"a', 'b"', "a,b"), (identity,)))
+    assert len(set(labels)) == len(labels) == 27
+    # empty and space-holding names are quoted too
+    labels = dot_labels(KGraphSkeleton(("", "x y", "z"), (identity,)))
+    assert '1:{\\"\\",\\"x y\\",z}' in labels

@@ -61,10 +61,11 @@ def test_cli_digest_is_stable():
         assert proc.returncode == 0, proc.stderr
     lines = runs[0].stdout.splitlines()
     assert lines == runs[1].stdout.splitlines()
-    assert len(lines) == 78
+    assert len(lines) == 80
     assert all(len(line.split()) == 4 for line in lines)
     assert "corpus-repeated-kinds 2" in runs[0].stdout
     # a run that exits 2 on its second write leaves no file: the digest of
     # no files is the digest of the empty byte string
     nothing = hashlib.sha256().hexdigest()[:16]
     assert f"lattice-unwritable-second 2 {nothing} {nothing}" in lines
+    assert f"lattice-same-path 2 {nothing} {nothing}" in lines
