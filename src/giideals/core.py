@@ -153,6 +153,9 @@ class DirectionModel(abc.ABC):
 
     rank: int
     vertex_names: tuple[str, ...]
+    vertex_count: int
+    full: VertexSet  # the whole vertex set
+    full_directions: SubsetMask  # all ``rank`` directions
     deps: tuple[tuple[VertexSet, ...], ...]
 
     def _init_base(self, rank: int, vertex_names) -> None:
@@ -170,21 +173,11 @@ class DirectionModel(abc.ABC):
             raise InvalidInputError(f"duplicate vertex names: {dup}")
         self.rank = rank
         self.vertex_names = names
+        self.vertex_count = len(names)
+        self.full = (1 << len(names)) - 1
+        self.full_directions = (1 << rank) - 1
         self._index = {n: v for v, n in enumerate(names)}
         self._phi_tables: dict[int, list[int]] = {}
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertex_names)
-
-    @property
-    def full(self) -> VertexSet:
-        """Bitmask of the whole vertex set."""
-        return (1 << len(self.vertex_names)) - 1
-
-    @property
-    def full_directions(self) -> SubsetMask:
-        return (1 << self.rank) - 1
 
     def vertex_index(self, name: str) -> int:
         if not isinstance(name, str) or name not in self._index:
@@ -310,13 +303,15 @@ class _PhiRow:
 def _phi_lookup(model: DirectionModel) -> list:
     """Per-direction phi rows, indexed ``rows[i - 1][s] == phi(i, s)``.
 
-    Up to 12 vertices the rows are the model's cached phi tables; above
-    that each row is a thin :class:`_PhiRow` that computes ``_phi`` per
-    lookup, so callers index either kind the same way.
+    The rows are the model's cached phi tables wherever
+    :meth:`DirectionModel.phi_table` builds them; where it refuses (its one
+    table limit) each row is a thin :class:`_PhiRow` that computes ``_phi``
+    per lookup, so callers index either kind the same way.
     """
-    if model.vertex_count <= 12:
+    try:
         return [model.phi_table(i) for i in range(1, model.rank + 1)]
-    return [_PhiRow(model, i) for i in range(1, model.rank + 1)]
+    except BudgetExceededError:
+        return [_PhiRow(model, i) for i in range(1, model.rank + 1)]
 
 
 def _gfp_meet(rows, k0: VertexSet) -> VertexSet:
@@ -422,17 +417,19 @@ def i_family(model: DirectionModel) -> IdealFamily:
 
 
 def xf_inverse(model: DirectionModel, subset: VertexSet, f: SubsetMask) -> VertexSet:
-    """Intersection of inverse images over all nonzero 0/1 degrees inside ``f``."""
+    """Intersection of inverse images over all nonzero 0/1 degrees inside ``f``.
+
+    The one recurrence for it, since ``phi(i, .)`` preserves intersections:
+    peel the lowest direction ``i`` off ``f``, leaving ``r``; then
+    ``xf(f) = xf(r) & phi(i, h) & phi(i, xf(r))``, with ``xf(empty) = V``.
+    :func:`division_tables` runs it over every subset; the naive subset
+    composition lives in :func:`giideals.oracles.xf_by_direct_degrees`.
+    """
     _check_subset(model, subset)
     _check_fmask(model, f, nonempty=True)
     out = model.full
-    for sub in submasks(f):
-        if sub == 0:
-            continue
-        t = subset
-        for i in mask_members(sub):
-            t = model._phi(i, t)
-        out &= t
+    for i in reversed(mask_members(f)):
+        out &= model._phi(i, subset) & model._phi(i, out)
     return out
 
 
@@ -443,14 +440,11 @@ def division_tables(
     subset, keyed by nonempty direction set: ``xf[f][h] == xf_inverse(model,
     h, f)`` and ``jf[f][h] == jf_of(model, h, f)``.
 
-    Built from the phi tables, so a model above 16 vertices raises
-    :class:`BudgetExceededError` with stats ``{"vertices": n,
-    "table_limit": 16}``, from :meth:`DirectionModel.phi_table`.  Splitting
-    the lowest direction ``i`` off ``f`` gives
-    ``xf[f][h] = xf[r][h] & phi(i, h) & phi(i, xf[r][h])`` for the rest
-    ``r``, since ``phi(i, .)`` preserves intersections.  Built per call, not
-    cached on the model, so the tables live only as long as the caller
-    holds them.
+    The recurrence of :func:`xf_inverse` over every subset at once, each
+    row built from its rest-mask's row.  Built from the phi tables, so a
+    model above 16 vertices raises :class:`BudgetExceededError` from
+    :meth:`DirectionModel.phi_table`.  Built per call, not cached on the
+    model, so the tables live only as long as the caller holds them.
     """
     phis = [model.phi_table(i) for i in range(1, model.rank + 1)]
     size = 1 << model.vertex_count

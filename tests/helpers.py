@@ -1,5 +1,7 @@
 """Shared strategies and small utilities for the test suite."""
 
+import json
+
 import hypothesis.strategies as st
 
 from giideals.crossval import random_model
@@ -23,3 +25,21 @@ def model_and_subsets(draw, count=1, **kwargs):
 
 def names(model, subset):
     return set(model.names_of_set(subset))
+
+
+def doc_file(tmp_path, doc):
+    """Write ``doc`` (a JSON value, or raw text) to a file; returns its path."""
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def cli_rejects(capsys, *argv):
+    """Run the CLI in-process: it must exit 2 (invalid input) with nothing on
+    stdout.  Returns stderr."""
+    from giideals.cli import main
+
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    return err

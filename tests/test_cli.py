@@ -397,6 +397,41 @@ def test_jobs_relative_enumeration_identical(capsys, fixture_dir, tmp_path):
     assert json.loads(out1)["count"] == 2
 
 
+def test_jobs_enumeration_above_a_bound_that_is_not_a_family(capsys, fixture_dir, tmp_path):
+    model = fx(fixture_dir, "shift2.json")
+    code, jf_doc, _ = run(capsys, "compute", "jf", model)
+    assert code == 0
+    bound = tmp_path / "jf.json"
+    bound.write_text(jf_doc)
+    base = ["enumerate", model, "--relative", str(bound)]
+    code1, out1, _ = run(capsys, *base, "--jobs", "1")
+    code2, out2, _ = run(capsys, *base, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["count"] >= 1
+
+
+def test_crosscheck_discrepancies_exit_1(capsys, fixture_dir, monkeypatch):
+    # a fixed-point verdict that always says no mismatches every valid
+    # family; each report is one canonical JSON line on stdout
+    import giideals.cli
+    from giideals.crossval import theorem_a_sweep
+    from giideals.modelio import canonical_json
+
+    def faulty_sweep(pairs, **kwargs):
+        return theorem_a_sweep(pairs, t_check=lambda m, fam: False, **kwargs)
+
+    monkeypatch.setattr(giideals.cli, "theorem_a_sweep", faulty_sweep)
+    code, out, err = run(capsys, "crosscheck", fx(fixture_dir, "absorb2.json"))
+    assert code == 1
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert docs and [canonical_json(d) for d in docs] == out.splitlines()
+    keys = [(d["fingerprint"], d["claim"]) for d in docs]
+    assert keys == sorted(keys)
+    assert {d["claim"] for d in docs} == {"nt_matches_t", "no_matches_o"}
+    assert f"{len(docs)} discrepancy report(s)" in err
+
+
 def test_crosscheck_beyond_the_table_limit_is_a_budget_exit(capsys, tmp_path):
     # a valid 18-vertex model: validate accepts it, so crosscheck must not
     # call it invalid input; the sweep tables stop at 16 vertices
@@ -433,7 +468,7 @@ def test_jobs_crosscheck_deterministic(capsys, fixture_dir):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("jobs", ["0", "-2", "x"])
 @pytest.mark.parametrize(
     "command", [["enumerate", "--count-only"], ["crosscheck"]], ids=lambda c: c[0]
 )

@@ -19,6 +19,7 @@ from giideals import (
     ker_phi,
     largest_perp_invariant,
     lim_set,
+    load_model,
     phi_n,
     xf_inverse,
 )
@@ -32,7 +33,7 @@ from giideals.core import (
     mask_of,
 )
 
-from helpers import model_and_subsets, names, small_models
+from helpers import cli_rejects, doc_file, model_and_subsets, names, small_models
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,31 @@ def test_mask_label_rejects_noncanonical():
         label_to_mask("1,1", 2)
     with pytest.raises(InvalidInputError):
         mask_of([5], 2)
+
+
+RANK_0 = {"kind": "kgraph", "rank": 0, "vertices": ["v"], "adjacency": []}
+NO_VERTICES = {"kind": "dynsys", "rank": 1, "points": [], "maps": [{}]}
+
+
+@pytest.mark.parametrize(
+    "call, message, model_doc",
+    [
+        (lambda: label_to_mask("1,x", 2), "bad direction-set label", None),
+        (lambda: load_model(RANK_0), "rank must be >= 1", RANK_0),
+        (lambda: load_model(NO_VERTICES), "at least one vertex", NO_VERTICES),
+        (
+            lambda: xf_inverse(fixtures.absorb2(), 0, 0b100),
+            "out of range for rank 2",
+            None,
+        ),
+    ],
+    ids=["label-part-not-int", "rank-0", "no-vertices", "direction-set-out-of-range"],
+)
+def test_invalid_input_is_rejected(capsys, tmp_path, call, message, model_doc):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+    if model_doc is not None:
+        assert message in cli_rejects(capsys, "validate", doc_file(tmp_path, model_doc))
 
 
 # ---------------------------------------------------------------------------

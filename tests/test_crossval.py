@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,15 +25,16 @@ from giideals import (
 )
 from giideals.crossval import (
     EXHAUSTIVE_LEGS,
+    REPORT_CAP,
     SweepTables,
     _biased_candidates,
     builtin_random_models,
     sweep_model,
 )
-from giideals.modelio import canonical_json
+from giideals.modelio import canonical_json, load_model, model_fingerprint
 from giideals import fixtures
 
-from helpers import small_models
+from helpers import cli_rejects, doc_file, small_models
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +134,20 @@ def test_sweep_self_test_detects_injected_fault():
     assert all(r.fingerprint for r in reports)
 
 
+def test_sweep_stops_at_report_cap():
+    # every candidate that fails the tuple check mismatches a constant-true
+    # fixed-point verdict; the sweep keeps the first REPORT_CAP of them
+    model = fixtures.absorb2()
+    size = 1 << model.vertex_count
+    candidates = itertools.product(range(size), repeat=1 << model.rank)
+    first = itertools.islice(
+        (fam for fam in candidates if not is_nt_tuple(model, fam).verdict), 51
+    )
+    expected = [{"family": fam, "t": True, "nt": False} for fam in first]
+    assert REPORT_CAP == 50 and len(expected) == 51
+    assert sweep_model(model, t_check=lambda m, fam: True) == expected[:50]
+
+
 def test_sweep_sampled_mode_is_deterministic():
     model = random_model("dynsys", 3, 4, seed=5)
     stats1, stats2 = {}, {}
@@ -215,11 +231,14 @@ def test_katsura_equals_enumeration_on_fixtures_and_samples():
 
 
 def test_katsura_equals_enumeration_without_phi_tables():
-    # above 12 vertices the enumerator computes phi per lookup instead of
-    # reading the phi tables
-    model = random_model("dynsys", 1, 13, seed=4)
+    # above the 16-vertex table limit the enumerator computes phi per lookup
+    # instead of reading the phi tables
+    from giideals.core import _PhiRow, _phi_lookup
+
+    model = random_model("kgraph", 1, 17, seed=0)
+    assert isinstance(_phi_lookup(model)[0], _PhiRow)
     result = enumerate_t_families(model)
-    assert result.count == 8192
+    assert result.count == 131073
     assert result.families == katsura_oracle(model).families
 
 
@@ -245,6 +264,39 @@ def test_property_suite_clean_on_fixtures():
     reports = property_suite(models=fixtures.all_models(), stats=stats)
     assert reports == []
     assert stats["families"] >= 3 + 6 + 6 + 6 + 12
+
+
+def test_property_suite_detects_injected_faults(monkeypatch):
+    # corrupting what the suite reads must fire each claim that reads it,
+    # and every report must replay from its model document
+    from giideals import crossval
+    from giideals.core import division_tables
+
+    model = fixtures.shift2()
+    failing = lambda m, fam: SimpleNamespace(verdict=False)  # noqa: E731
+
+    def no_division_ideals(m):
+        xf, jf = division_tables(m)
+        return xf, {f: [0] * len(row) for f, row in jf.items()}
+
+    faults = [
+        # v2 is killed by direction 1 but kept out of the empty entry
+        ("j_family", lambda m: (0,) + (m.full,) * 3, {"j_passdown"}),
+        ("is_invariant", failing, {"t_family_invariant"}),
+        ("is_partially_ordered", failing, {"t_family_partially_ordered"}),
+        (
+            "division_tables",
+            no_division_ideals,
+            {"t_family_inside_division_bound", "positively_invariant_recovery"},
+        ),
+    ]
+    for name, fake, claims in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(crossval, name, fake)
+            reports = property_suite(models=[model])
+        assert {r.claim for r in reports} == claims, name
+        for r in reports:
+            assert model_fingerprint(load_model(r.model)) == r.fingerprint
 
 
 def test_property_suite_clean_on_random_sample():
@@ -306,6 +358,21 @@ def test_corpus_spec_rejects_repeated_kinds():
         CorpusSpec(kinds=("dynsys", "dynsys"))
     with pytest.raises(InvalidInputError, match="kinds repeat"):
         CorpusSpec.from_doc({"kinds": ["kgraph", "dynsys", "kgraph"]})
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"kinds": []}, "corpus needs at least one kind"),
+        ({"vertices_max": 65}, "at most 64 vertices supported"),
+        ([], "corpus config must be a JSON object"),
+    ],
+    ids=["no-kinds", "too-many-vertices", "config-not-an-object"],
+)
+def test_invalid_corpus_configs_are_rejected(capsys, tmp_path, config, message):
+    with pytest.raises(InvalidInputError, match=message):
+        CorpusSpec.from_doc(config)
+    assert message in cli_rejects(capsys, "crosscheck", "--corpus", doc_file(tmp_path, config))
 
 
 def test_exhaustive_corpus_counts():

@@ -14,7 +14,7 @@ from giideals import (
 from giideals.dynsys import PartialMapSystem
 from giideals import fixtures
 
-from helpers import names
+from helpers import cli_rejects, doc_file, names
 
 
 def test_load_shift2():
@@ -86,6 +86,35 @@ def test_load_rejects_schema_violations():
         load_dynsys(
             {"kind": "dynsys", "rank": 1, "points": ["a"], "maps": [{"zz": "a"}]}
         )
+
+
+@pytest.mark.parametrize(
+    "doc, message, via_cli",
+    [
+        (
+            {"kind": "dynsys", "rank": 1, "points": ["a"], "maps": [["a"]]},
+            "map 1 must be a point -> point mapping",
+            True,
+        ),
+        # the CLI dispatches on the kind, so only the library reaches this
+        (
+            {"kind": "kgraph", "rank": 1, "vertices": ["a"], "adjacency": [[[1]]]},
+            'expected a document with "kind": "dynsys"',
+            False,
+        ),
+        (
+            {"kind": "dynsys", "rank": 1, "points": ["a", 1], "maps": [{}]},
+            '"points" must be a list of names',
+            True,
+        ),
+    ],
+    ids=["map-not-a-mapping", "wrong-kind", "points-not-names"],
+)
+def test_load_rejects_invalid_documents(capsys, tmp_path, doc, message, via_cli):
+    with pytest.raises(InvalidInputError, match=message):
+        load_dynsys(doc)
+    if via_cli:
+        assert message in cli_rejects(capsys, "validate", doc_file(tmp_path, doc))
 
 
 def test_endo_inverse_shift2_kernel():

@@ -176,6 +176,23 @@ def test_relative_o_containment_witness():
 # enumeration
 
 
+def test_enumeration_above_a_bound_that_is_not_a_family():
+    for model in fixtures.all_models():
+        bound = j_family(model)
+        above = [
+            fam
+            for fam in enumerate_t_families(model).families
+            if all(k & ~s == 0 for k, s in zip(bound, fam))
+        ]
+        assert enumerate_relative_o(model, bound).families == tuple(above)
+    # shift2's J-family is not a fixed-point family: at one entry the bound
+    # escapes every viable candidate, and the search stops there instead of
+    # spending a 13th candidate
+    model = fixtures.shift2()
+    assert not is_t_family(model, j_family(model)).verdict
+    assert enumerate_relative_o(model, j_family(model)).stats["candidates"] == 12
+
+
 def test_enumeration_counts_pinned():
     assert enumerate_t_families(fixtures.loops2()).count == 6
     assert enumerate_t_families(fixtures.funnel1()).count == 6

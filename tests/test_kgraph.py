@@ -8,7 +8,7 @@ from giideals import InvalidInputError, load_kgraph, phi_n
 from giideals.kgraph import KGraphSkeleton, SKELETON_NOTE
 from giideals import fixtures, oracles
 
-from helpers import names, small_models
+from helpers import cli_rejects, doc_file, names, small_models
 
 
 def funnel2_doc():
@@ -75,6 +75,26 @@ def test_load_rejects_bad_shapes_and_schema():
     doc["adjacency"] = [doc["adjacency"][0]]
     with pytest.raises(InvalidInputError):
         load_kgraph(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"kind": "kgraph", "rank": 1, "vertices": "ab", "adjacency": [[[0]]]},
+            '"vertices" must be a list of names',
+        ),
+        (
+            {"kind": "kgraph", "rank": 1, "vertices": ["a"], "adjacency": [5]},
+            "malformed adjacency data",
+        ),
+    ],
+    ids=["vertices-not-names", "adjacency-not-matrices"],
+)
+def test_load_rejects_invalid_documents(capsys, tmp_path, doc, message):
+    with pytest.raises(InvalidInputError, match=message):
+        load_kgraph(doc)
+    assert message in cli_rejects(capsys, "validate", doc_file(tmp_path, doc))
 
 
 def test_load_rejects_oversized_vertex_set():

@@ -8,11 +8,15 @@ from giideals import InvalidInputError, load_model
 from giideals.modelio import (
     canonical_json,
     family_from_doc,
+    family_from_path,
     family_to_doc,
     fingerprint,
+    load_model_path,
     model_fingerprint,
 )
 from giideals import fixtures
+
+from helpers import cli_rejects, doc_file
 
 
 def test_load_model_dispatch():
@@ -68,6 +72,32 @@ def test_family_doc_rejections():
         )
     with pytest.raises(InvalidInputError):
         family_from_doc(model, {"rank": 2})
+
+
+@pytest.mark.parametrize(
+    "doc, kind, message",
+    [
+        ({"rank": 2, "sets": []}, "family", '"sets" must map'),
+        (
+            {"rank": 2, "sets": {"": "p", "1": [], "2": [], "1,2": []}},
+            "family",
+            "entry '' must be a list of vertex names",
+        ),
+        ('{"kind": "dynsys",', "model", "is not valid JSON"),
+    ],
+    ids=["sets-not-an-object", "entry-not-a-list", "file-not-json"],
+)
+def test_invalid_documents_are_rejected(capsys, fixture_dir, tmp_path, doc, kind, message):
+    path = doc_file(tmp_path, doc)
+    if kind == "family":
+        with pytest.raises(InvalidInputError, match=message):
+            family_from_path(fixtures.absorb2(), path)
+        argv = ["family", "check", str(fixture_dir / "absorb2.json"), path, "--mode", "t"]
+    else:
+        with pytest.raises(InvalidInputError, match=message):
+            load_model_path(path)
+        argv = ["validate", path]
+    assert message in cli_rejects(capsys, *argv)
 
 
 def test_canonical_json_is_sorted_and_compact():
