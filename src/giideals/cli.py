@@ -5,7 +5,9 @@ scripts can parse stdout without ambiguity.  Vertex names, never indices,
 appear in all input and output documents.
 
 Exit codes: 0 success or check passed; 1 check failed (witness JSON on
-stdout) or discrepancies found; 2 invalid input; 3 budget exceeded.
+stdout), discrepancies found, or an internal consistency error (two
+engines disagree: a note on stderr, nothing on stdout); 2 invalid input;
+3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except InternalConsistencyError as exc:
         _note(f"internal consistency error (please report): {exc}")
-        return EXIT_INVALID
+        return EXIT_CHECK_FAILED
 
 
 #: entry point under its interface name

@@ -7,8 +7,14 @@ order isomorphism), so by Birkhoff's theorem each family ``x`` is fixed by
 its down-set ``D(x)``, the join-irreducible families below it, and ``x``
 is covered by exactly the families with down-set ``D(x) | j``, for each
 ``j`` outside ``D(x)`` whose strictly lower join-irreducibles lie in
-``D(x)``.  The join-irreducibles are closures of single atoms "v in H_F",
-found with :func:`giideals.families.t_closure`.  Canonical order extends
+``D(x)``.  Each join-irreducible is the closure, by
+:func:`giideals.families.t_closure`, of a single atom "v in H_F"; the
+atoms with closure ``c`` are its generators.  A family strictly below ``c``
+holds no generator, and every other atom of ``c`` closes strictly below
+``c``, so ``c`` minus its generators is the union of the families below
+``c``: ``c`` is join-irreducible exactly when that remainder is a T-family,
+which is then its one lower cover.  A T-family lies above ``j`` exactly
+when it holds one generator of ``j``.  Canonical order extends
 containment, so an interval's bottom is its first family and its top its
 last.  A family set that is not an interval of the T-family lattice (a
 repeated down-set, a first family not below every other, a last family
@@ -31,10 +37,8 @@ and is byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
-from operator import or_
 
 from .core import (
     DirectionModel,
@@ -42,7 +46,7 @@ from .core import (
     InternalConsistencyError,
     InvalidInputError,
 )
-from .families import EnumerationResult, family_sort_key, t_closure
+from .families import EnumerationResult, family_sort_key, is_t_family, t_closure
 from .modelio import family_to_doc, fingerprint
 
 
@@ -70,30 +74,22 @@ class LatticeGraph:
         raise InvalidInputError(f"unknown node id {node_id!r}")
 
 
-def _pack(fam: IdealFamily, width: int) -> int:
-    """The family as one int, entry ``m`` shifted by ``m * width``."""
-    return sum(s << (m * width) for m, s in enumerate(fam))
-
-
-def _join_irreducibles(model: DirectionModel) -> list[int]:
-    """The join-irreducible T-families, packed, ascending: the closures ``c``
-    of atoms "v in H_F" that the closure of the bottom (all-empty, so no
-    atom lies in it) and the atom closures strictly below ``c`` misses."""
-    width, nmasks = model.vertex_count, 1 << model.rank
+def _join_irreducibles(model: DirectionModel) -> list[tuple[IdealFamily, int, int]]:
+    """The join-irreducible T-families, each as ``(family, m, v)`` with one
+    generating atom "v in H_m": the atom closures ``c`` whose remainder,
+    ``c`` minus the atoms that close to ``c``, is itself a T-family."""
+    nmasks = 1 << model.rank
     empty = (0,) * nmasks
-    closures = {0: empty}
-    for m, v in product(range(nmasks), range(width)):
+    gens: dict[IdealFamily, tuple[list[int], int, int]] = {}
+    for m, v in product(range(nmasks), range(model.vertex_count)):
         c = t_closure(model, empty[:m] + (1 << v,) + empty[m + 1 :])
-        closures[_pack(c, width)] = c
-
-    def closed_below(p: int) -> int:
-        union = reduce(or_, (q for q in closures if q != p and q & ~p == 0), 0)
-        if union in closures:  # already closed: no closure call needed
-            return union
-        fam = tuple(union >> (m * width) & model.full for m in range(nmasks))
-        return _pack(t_closure(model, fam), width)
-
-    return sorted(p for p in closures if closed_below(p) != p)
+        g, _, _ = gens.setdefault(c, ([0] * nmasks, m, v))  # first generator kept
+        g[m] |= 1 << v
+    return [
+        (c, m, v)
+        for c, (g, m, v) in gens.items()
+        if is_t_family(model, [s & ~t for s, t in zip(c, g)]).verdict
+    ]
 
 
 def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGraph:
@@ -103,6 +99,9 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
     ``x`` is covered by the families with down-set ``D(x) | j`` (``D(x)``:
     the join-irreducibles ``j <= x``, as a bitmask), one for each ``j``
     outside ``D(x)`` whose strictly lower join-irreducibles lie in ``D(x)``.
+    Each ``j`` is an atom closure that is still a T-family less its
+    generators (the atoms closing to ``j``); the families are T-families, so
+    ``j <= x`` exactly when ``x`` holds the generator recorded with ``j``.
     Canonical order extends containment (where ``a < b`` first differ,
     ``a``'s entry is a proper subset, hence a smaller int), so the bottom is
     first and the top last.  A repeated down-set, a first family not below
@@ -112,13 +111,13 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
     fams = sorted(result.families, key=lambda fam: family_sort_key(model, fam))
     if not fams:
         raise InvalidInputError("cannot build a lattice from an empty enumeration")
-    bits = [(1 << k, p) for k, p in enumerate(_join_irreducibles(model))]
+    irr = _join_irreducibles(model)
 
-    def down(p: int) -> int:
-        return sum(b for b, q in bits if q & ~p == 0)
+    def down(fam: IdealFamily) -> int:
+        return sum(1 << k for k, (_, m, v) in enumerate(irr) if fam[m] >> v & 1)
 
-    lower = [(b, down(q)) for b, q in bits]  # (j, the down-set of j)
-    downs = [down(_pack(fam, model.vertex_count)) for fam in fams]
+    lower = [(1 << k, down(j)) for k, (j, _, _) in enumerate(irr)]  # (j, D(j))
+    downs = [down(fam) for fam in fams]
     index = {d: i for i, d in enumerate(downs)}
     # each j whose down-set leaves only j outside D(x) adds D(x) | j, or None
     ups = [[index.get(d | b) for b, dj in lower if dj & ~d == b] for d in downs]

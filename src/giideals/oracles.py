@@ -18,6 +18,7 @@ from .core import (
     phi_n,
     submasks,
 )
+from .dynsys import PartialMapSystem
 from .kgraph import KGraphSkeleton
 
 
@@ -197,3 +198,53 @@ def transitive_reduction_naive(families, le) -> list[tuple[int, int]]:
                 continue
             edges.append((a, b))
     return edges
+
+
+def _source_sets(model: DirectionModel) -> list[list[VertexSet]]:
+    """``out[i - 1][v]``: the sources of the degree-``i`` edges with range
+    ``v``, read off the input data, not the model's ``deps``: for a
+    k-graph ``{w : M_i[v][w] > 0}``, for a dynamical system
+    ``{w : T_i(w) = v}``."""
+    n = model.vertex_count
+    if isinstance(model, KGraphSkeleton):
+        return [
+            [sum(1 << w for w in range(n) if mat[v][w] > 0) for v in range(n)]
+            for mat in model.adjacency
+        ]
+    if isinstance(model, PartialMapSystem):
+        return [
+            [sum(1 << w for w in range(n) if img[w] == v) for v in range(n)]
+            for img in model.images
+        ]
+    raise InvalidInputError("source sets need a k-graph or a dynamical system")
+
+
+def is_locally_convex(model: DirectionModel) -> bool:
+    """Raeburn-Sims-Yeend local convexity: whenever ``v`` receives edges of
+    two distinct degrees ``i`` and ``j``, every source of a degree-``i``
+    edge at ``v`` receives a degree-``j`` edge."""
+    src = _source_sets(model)
+    vertices = range(model.vertex_count)
+    return not any(
+        src[i][v] and src[j][v] and src[i][v] >> w & 1 and not src[j][w]
+        for i, j in itertools.permutations(range(model.rank), 2)
+        for v in vertices
+        for w in vertices
+    )
+
+
+def hereditary_saturated_sets(model: DirectionModel) -> list[VertexSet]:
+    """Every hereditary saturated vertex set, ascending, by checking every
+    subset.  Hereditary: ``v in H`` implies ``src_i(v) <= H``.  Saturated:
+    ``v`` is in ``H`` when, for some ``i``, ``src_i(v)`` is nonempty and
+    inside ``H``.  For a locally convex model these parametrise the
+    gauge-invariant ideals of its Cuntz-Krieger algebra (Raeburn, Sims and
+    Yeend, Proc. Edinb. Math. Soc. 46 (2003), Thm 5.2)."""
+    src = _source_sets(model)
+    vertices = range(model.vertex_count)
+    return [
+        h
+        for h in range(model.full + 1)
+        if all(not h >> v & 1 or s[v] & ~h == 0 for s in src for v in vertices)
+        and all(h >> v & 1 or not s[v] or s[v] & ~h for s in src for v in vertices)
+    ]

@@ -43,3 +43,20 @@ def cli_rejects(capsys, *argv):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     return err
+
+
+def corpus_models():
+    """The shipped corpus, 1,643 models: the fixtures, both exhaustive legs
+    (685 + 752 models) and the 200 seeded random models."""
+    from giideals import fixtures
+    from giideals.crossval import (
+        EXHAUSTIVE_LEGS,
+        builtin_random_models,
+        iter_corpus_models,
+    )
+
+    models = list(fixtures.all_models())
+    for _, spec in EXHAUSTIVE_LEGS:
+        models.extend(m for m, _ in iter_corpus_models(spec))
+    models.extend(m for m, _ in builtin_random_models())
+    return models

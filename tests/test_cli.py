@@ -432,6 +432,27 @@ def test_crosscheck_discrepancies_exit_1(capsys, fixture_dir, monkeypatch):
     assert f"{len(docs)} discrepancy report(s)" in err
 
 
+def test_internal_consistency_error_exits_1(
+    capsys, fixture_dir, monkeypatch, tmp_path
+):
+    # two engines disagreeing is a failed check, not invalid input
+    import giideals.cli
+    from giideals.core import InternalConsistencyError
+
+    def broken_build(model, result):
+        raise InternalConsistencyError("family set is not an interval of T-families")
+
+    monkeypatch.setattr(giideals.cli, "build_lattice", broken_build)
+    dot = tmp_path / "out.dot"
+    code, out, err = run(
+        capsys, "lattice", fx(fixture_dir, "loop1.json"), "--dot", str(dot)
+    )
+    assert code == 1
+    assert out == ""
+    assert "internal consistency error (please report)" in err
+    assert not dot.exists()
+
+
 def test_crosscheck_beyond_the_table_limit_is_a_budget_exit(capsys, tmp_path):
     # a valid 18-vertex model: validate accepts it, so crosscheck must not
     # call it invalid input; the sweep tables stop at 16 vertices

@@ -2,6 +2,7 @@
 
 import json
 import re
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,12 @@ from giideals import (
 from giideals.core import InvalidInputError, i_family
 from giideals.families import EnumerationResult
 from giideals.kgraph import KGraphSkeleton
+from giideals.lattice import _join_irreducibles
 from giideals.modelio import canonical_json, family_to_doc, fingerprint
 from giideals import fixtures, oracles
 from giideals.crossval import builtin_random_models
 
-from helpers import small_models
+from helpers import corpus_models, small_models
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -154,6 +156,58 @@ def test_random_leg_model_37_lattice():
     assert (lat.bottom, lat.top) == (first, last)
     assert bottom == (0,) * 8
     assert top == (model.full,) * 8
+
+
+@cache
+def corpus_enumerations():
+    return [(m, enumerate_t_families(m).families) for m in corpus_models()]
+
+
+def maximal(fams):
+    return [x for x in fams if not any(x != y and le(x, y) for y in fams)]
+
+
+def test_join_irreducibles_match_their_definition():
+    # j is join-irreducible when exactly one maximal family lies strictly
+    # below it, its one lower cover
+    checked = 0
+    for model, fams in corpus_enumerations():
+        if len(fams) > 60:
+            continue
+        below = {x: [y for y in fams if y != x and le(y, x)] for x in fams}
+        expected = {x for x in fams if len(maximal(below[x])) == 1}
+        assert {j for j, _, _ in _join_irreducibles(model)} == expected
+        checked += 1
+    assert checked == 1_537
+
+
+def count_down_sets(poset) -> int:
+    """Down-sets of a finite order, by ``ideals(P) = ideals(P - up(x)) +
+    ideals(P - down(x))`` for any ``x`` in ``P``, memoised on bitmasks."""
+    n = len(poset)
+    ups = [sum(1 << b for b in range(n) if le(poset[a], poset[b])) for a in range(n)]
+    downs = [sum(1 << b for b in range(n) if le(poset[b], poset[a])) for a in range(n)]
+
+    @cache
+    def ideals(rest: int) -> int:
+        if not rest:
+            return 1
+        x = (rest & -rest).bit_length() - 1
+        return ideals(rest & ~ups[x]) + ideals(rest & ~downs[x])
+
+    return ideals((1 << n) - 1)
+
+
+def test_birkhoff_count_of_down_sets():
+    # the T-family lattice is distributive: its families correspond one to
+    # one to the down-sets of its join-irreducibles
+    sizes = []
+    for model, fams in corpus_enumerations():
+        irr = [j for j, _, _ in _join_irreducibles(model)]
+        assert count_down_sets(irr) == len(fams)
+        sizes.append(len(irr))
+    assert len(sizes) == 1_643
+    assert max(sizes) <= 26
 
 
 def test_empty_enumeration_rejected():
