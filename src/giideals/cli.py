@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .core import (
@@ -334,6 +333,8 @@ def _parallel(worker, shared, items, jobs):
     """Run ``worker(shared, items[w::jobs])`` for each worker ``w`` in a
     process pool; concatenate the lists the workers return and sum their
     counters."""
+    from concurrent.futures import ProcessPoolExecutor  # slow to import
+
     chunks = [chunk for chunk in (items[w::jobs] for w in range(jobs)) if chunk]
     out: list = []
     stats: dict = {}

@@ -26,6 +26,7 @@ from .core import (
     IdealFamily,
     InternalConsistencyError,
     InvalidInputError,
+    _PhiRow,
     _gfp_meet,
     _phi_lookup,
     canonical_masks,
@@ -39,7 +40,7 @@ from .core import (
     mask_label,
     submasks,
 )
-from .modelio import family_to_doc
+from .modelio import render_families
 
 #: Candidate evaluations allowed per enumeration before giving up.
 DEFAULT_BUDGET = 2_000_000
@@ -93,7 +94,7 @@ class EnumerationResult:
         return {
             "mode": self.mode,
             "count": self.count,
-            "families": [family_to_doc(model, fam)["sets"] for fam in self.families],
+            "families": render_families(model, self.families)[0],
         }
 
 
@@ -419,22 +420,30 @@ def t_closure(model: DirectionModel, family) -> IdealFamily:
     where ``phi(i, H) = {v : dep_i(v) <= H}`` and ``dep_i`` is
     ``model.deps[i - 1]``.  The rules only ever add vertices, so iterating
     them to a fixed point gives the least closed family, the all-V family
-    being closed.
+    being closed.  Rows that compute ``phi`` stand in for its tables, so
+    the closure builds none.
     """
-    fam = list(check_family(model, family))
+    rows = [_PhiRow(model, i) for i in range(1, model.rank + 1)]
+    return _close(model, rows, list(check_family(model, family)))
+
+
+def _close(model: DirectionModel, phi, fam: list[int]) -> IdealFamily:
+    """:func:`t_closure`'s fixed-point loop on a checked family, in place,
+    over phi rows ``phi[i - 1][s] == phi(i, s)``."""
     steps = [
-        (f, up, i, model.deps[i - 1]) for f, i, up in direction_covers(model.rank)
+        (f, up, phi[i - 1], model.deps[i - 1])
+        for f, i, up in direction_covers(model.rank)
     ]
     changed = True
     while changed:
         changed = False
-        for f, up, i, dep in steps:
+        for f, up, row, dep in steps:
             s = fam[f]
             t = s
             for v in range(s.bit_length()):
                 if s >> v & 1:
                     t |= dep[v]
-            t |= model._phi(i, t) & fam[up]
+            t |= row[t] & fam[up]
             if t != s:
                 fam[f] = t
                 changed = True

@@ -14,7 +14,9 @@ holds no generator, and every other atom of ``c`` closes strictly below
 ``c``, so ``c`` minus its generators is the union of the families below
 ``c``: ``c`` is join-irreducible exactly when that remainder is a T-family,
 which is then its one lower cover.  A T-family lies above ``j`` exactly
-when it holds one generator of ``j``.  Canonical order extends
+when it holds one generator of ``j``.  Atoms are closed supersets first,
+each from the closures of the atoms "v in H_{F+i}" above it, which
+``H_F <= H_{F+i}`` puts inside its own.  Canonical order extends
 containment, so an interval's bottom is its first family and its top its
 last.  A family set that is not an interval of the T-family lattice (a
 repeated down-set, a first family not below every other, a last family
@@ -22,22 +24,22 @@ other than all-V, or a missing cover) raises
 :class:`~giideals.core.InternalConsistencyError`: the enumeration, a
 top-down greatest-fixed-point search, disagrees with the Horn closure.
 
-Each node's family is rendered once, by
-:func:`giideals.modelio.family_to_doc`: the node id is the fingerprint of
-that document, so ids are stable across runs, and both exports read its
-``sets``, whose keys are in canonical direction-set order.  Exports are
-byte-stable for a given input.
+The nodes' families are rendered together, by
+:func:`giideals.modelio.render_families`, each distinct vertex set once:
+a node id is the fingerprint of its family document, so ids are stable
+across runs, and both exports read its ``sets``, whose keys are in
+canonical direction-set order.  Exports are byte-stable for a given input.
 
 The JSON export lays out its one fixed document shape directly, string
-leaves through the C encoder :func:`json.encoder.encode_basestring_ascii`,
-and is byte-identical to ``json.dumps(doc, sort_keys=True, indent=2)``
-(whose ``indent`` always takes the pure-Python encoder).
+leaves through the C encoder :func:`json.encoder.encode_basestring_ascii`
+and each distinct family entry once per export.  It is byte-identical to
+``json.dumps(doc, sort_keys=True, indent=2)`` (whose ``indent`` always
+takes the pure-Python encoder).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (
@@ -45,9 +47,10 @@ from .core import (
     IdealFamily,
     InternalConsistencyError,
     InvalidInputError,
+    _phi_lookup,
 )
-from .families import EnumerationResult, family_sort_key, is_t_family, t_closure
-from .modelio import family_to_doc, fingerprint
+from .families import EnumerationResult, _close, family_sort_key, is_t_family
+from .modelio import render_families
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,22 @@ def _join_irreducibles(model: DirectionModel) -> list[tuple[IdealFamily, int, in
     generating atom "v in H_m": the atom closures ``c`` whose remainder,
     ``c`` minus the atoms that close to ``c``, is itself a T-family."""
     nmasks = 1 << model.rank
-    empty = (0,) * nmasks
+    phi = _phi_lookup(model)
+    closures: dict[tuple[int, int], IdealFamily] = {}
+    # supersets first (a strict superset is a larger mask): by H_F <= H_{F+i}
+    # the closure of (m, v) holds that of each (m + i, v), so starts from them
+    for m in reversed(range(nmasks)):
+        ups = [m | 1 << k for k in range(model.rank) if not m >> k & 1]
+        for v in range(model.vertex_count):
+            start = [0] * nmasks
+            for up in ups:
+                start = [a | b for a, b in zip(start, closures[up, v])]
+            if not start[m] >> v & 1:  # else a closure above holding it is its own
+                start[m] |= 1 << v
+                start = _close(model, phi, start)
+            closures[m, v] = tuple(start)
     gens: dict[IdealFamily, tuple[list[int], int, int]] = {}
-    for m, v in product(range(nmasks), range(model.vertex_count)):
-        c = t_closure(model, empty[:m] + (1 << v,) + empty[m + 1 :])
+    for (m, v), c in sorted(closures.items()):  # J's order: atoms by (m, v)
         g, _, _ = gens.setdefault(c, ([0] * nmasks, m, v))  # first generator kept
         g[m] |= 1 << v
     return [
@@ -129,8 +144,7 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
     ):
         raise InternalConsistencyError("family set is not an interval of T-families")
 
-    docs = [family_to_doc(model, fam) for fam in fams]
-    ids = [fingerprint(doc) for doc in docs]
+    sets, ids = render_families(model, fams)
     # edges by lower node, then by canonical index of the upper node
     edges = [(ids[a], ids[b]) for a, u in enumerate(ups) for b in sorted(u)]
     return LatticeGraph(
@@ -140,7 +154,7 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
         cover_edges=tuple(edges),
         bottom=ids[0],
         top=ids[-1],
-        sets=tuple(doc["sets"] for doc in docs),
+        sets=tuple(sets),
     )
 
 
@@ -202,12 +216,17 @@ def _block(items, indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}" if body else brackets
 
 
-def _node(nid: str, sets: dict[str, list[str]]) -> str:
-    """One ``nodes`` entry at its depth: ``family`` (keys sorted), ``id``."""
-    family = [
-        f"{_quote(label)}: {_block(map(_quote, names), '        ')}"
-        for label, names in sorted(sets.items())
-    ]
+def _node(nid: str, sets: dict[str, list[str]], entries: dict) -> str:
+    """One ``nodes`` entry at its depth: ``family`` (keys sorted), ``id``;
+    each distinct ``label: names`` entry rendered once into ``entries``."""
+    family = []
+    for label, names in sorted(sets.items()):
+        key = (label, *names)
+        text = entries.get(key)
+        if text is None:
+            block = _block(map(_quote, names), "        ")
+            text = entries[key] = f"{_quote(label)}: {block}"
+        family.append(text)
     family_text = _block(family, "      ", "{}")
     return f'{{\n      "family": {family_text},\n      "id": {_quote(nid)}\n    }}'
 
@@ -215,7 +234,10 @@ def _node(nid: str, sets: dict[str, list[str]]) -> str:
 def export_json(lattice: LatticeGraph) -> str:
     """JSON mirror of the lattice fields, stable for a given input: keys
     sorted, two-space indent, ASCII only."""
-    nodes = [_node(nid, sets) for (nid, _), sets in zip(lattice.nodes, lattice.sets)]
+    entries: dict[tuple[str, ...], str] = {}
+    nodes = [
+        _node(nid, sets, entries) for (nid, _), sets in zip(lattice.nodes, lattice.sets)
+    ]
     edges = [_block([_quote(lo), _quote(hi)], "    ") for lo, hi in lattice.cover_edges]
     fields = [
         f'"bottom": {_quote(lattice.bottom)}',

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .core import (
@@ -42,7 +43,11 @@ def canonical_json(doc) -> str:
 
 def fingerprint(doc) -> str:
     """Stable short identifier of a JSON document."""
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
+    return _digest(canonical_json(doc))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def load_model(doc) -> DirectionModel:
@@ -65,23 +70,39 @@ def model_fingerprint(model: DirectionModel) -> str:
     return fingerprint(model.to_doc())
 
 
-def family_to_doc(model: DirectionModel, family) -> dict:
-    """The family document ``{"rank": k, "sets": {label: [names]}}``.
+def render_families(model: DirectionModel, families) -> tuple[list[dict], list[str]]:
+    """Each family's document ``sets`` and the fingerprint of its document.
 
-    The family is validated once, by :func:`check_family`.  ``sets`` keys
-    are in :func:`canonical_masks` order, names in vertex order.  This is
-    the one renderer of families: a lattice node's id is the fingerprint of
-    this document, and both lattice exports read its ``sets``.
+    Families are validated by :func:`check_family`; ``sets`` keys are in
+    :func:`canonical_masks` order, names in vertex order, and no two dicts
+    share a list.  Each distinct vertex set is rendered once, to its names
+    and their compact JSON, from which each document's :func:`canonical_json`
+    text is assembled.  This is the one renderer of families.
     """
-    fam = check_family(model, family)
     names = model.vertex_names
-    return {
-        "rank": model.rank,
-        "sets": {
-            mask_label(m): [names[v] for v in range(len(names)) if fam[m] >> v & 1]
-            for m in canonical_masks(model.rank)
-        },
-    }
+    masks = canonical_masks(model.rank)
+    labels = [mask_label(m) for m in masks]
+    by_key = sorted(zip(labels, masks))
+    keyed = ",".join(f"{_quote(label)}:%s" for label, _ in by_key)
+    template = f'{{"rank":{model.rank},"sets":{{{keyed}}}}}'
+    rendered: dict[int, tuple[list[str], str]] = {}
+    all_sets, ids = [], []
+    for family in families:
+        fam = check_family(model, family)
+        for s in fam:
+            if s not in rendered:
+                members = [names[v] for v in range(len(names)) if s >> v & 1]
+                rendered[s] = members, "[" + ",".join(map(_quote, members)) + "]"
+        entries = [rendered[s] for s in fam]
+        all_sets.append({lab: entries[m][0].copy() for lab, m in zip(labels, masks)})
+        ids.append(_digest(template % tuple(entries[m][1] for _, m in by_key)))
+    return all_sets, ids
+
+
+def family_to_doc(model: DirectionModel, family) -> dict:
+    """The family document ``{"rank": k, "sets": {label: [names]}}``: the
+    one-family case of :func:`render_families`."""
+    return {"rank": model.rank, "sets": render_families(model, [family])[0][0]}
 
 
 def family_from_doc(model: DirectionModel, doc) -> IdealFamily:

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: grammar, exit codes, determinism, schemas."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +22,17 @@ def test_run_alias_is_the_entry_point():
 
 def fx(fixture_dir, name):
     return str(fixture_dir / name)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """Only ``--jobs`` above 1 needs the process pool, which is slow to
+    import, so a fresh import of the CLI does not load it."""
+    code = "import giideals.cli, sys; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_family_check_t_mode_witness(capsys, fixture_dir):

@@ -318,6 +318,7 @@ ODD_NAMES = ('a"b', "c\\d", "e\x01\tf", "\u00e9\u2603", "\U0001d11e", "")
 
 
 def export_lattices():
+    """``(model, lattice)`` pairs whose exports the tests compare."""
     small = [
         m for m, _ in builtin_random_models(60) if enumerate_t_families(m).count <= 200
     ]
@@ -330,24 +331,31 @@ def export_lattices():
     models.append(
         KGraphSkeleton(ODD_NAMES[2:5], ([[1, 1, 0], [0, 1, 0], [0, 0, 0]],) * 2)
     )
-    lattices = [build_lattice(m, enumerate_t_families(m)) for m in models]
+    pairs = [(m, build_lattice(m, enumerate_t_families(m))) for m in models]
     loops2 = fixtures.loops2()
     singleton = EnumerationResult(((loops2.full,) * 4,), 1, "T")
-    lattices.append(build_lattice(loops2, singleton))
-    return lattices
+    pairs.append((loops2, build_lattice(loops2, singleton)))
+    return pairs
 
 
 def test_json_export_is_byte_identical_to_json_dumps():
-    lattices = export_lattices()
-    assert lattices[-1].cover_edges == ()
-    assert '"cover_edges": [],' in export_json(lattices[-1])
-    for lat in lattices:
+    pairs = export_lattices()
+    assert pairs[-1][1].cover_edges == ()
+    assert '"cover_edges": [],' in export_json(pairs[-1][1])
+    for model, lat in pairs:
         doc = reference_doc(lat)
         assert export_json(lat) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
         families = [{"rank": lat.rank, "sets": sets} for sets in lat.sets]
         for d in [doc, *families]:
             compact = json.dumps(d, sort_keys=True, separators=(",", ":"))
             assert canonical_json(d) == compact
+        # node ids are the fingerprints of the family documents, and no two
+        # nodes share a list of names
+        for (nid, fam), sets in zip(lat.nodes, lat.sets):
+            assert nid == fingerprint(family_to_doc(model, fam))
+            assert sets == family_to_doc(model, fam)["sets"]
+        lists = [id(names) for sets in lat.sets for names in sets.values()]
+        assert len(set(lists)) == len(lists)
 
 
 DOT_LABEL = re.compile(r'^  "[0-9a-f]{16}" \[label="((?:[^"\\]|\\.)*)"\];$')

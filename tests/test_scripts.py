@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_run_theorem_sweep_small(tmp_path):
@@ -61,6 +62,8 @@ def test_cli_digest_is_stable():
         assert proc.returncode == 0, proc.stderr
     lines = runs[0].stdout.splitlines()
     assert lines == runs[1].stdout.splitlines()
+    # same outputs as the recorded digest: stdout, written files, exit codes
+    assert lines == (GOLDEN / "cli_digest.txt").read_text().splitlines()
     assert len(lines) == 80
     assert all(len(line.split()) == 4 for line in lines)
     assert "corpus-repeated-kinds 2" in runs[0].stdout
