@@ -45,6 +45,14 @@ def invocations(inputs: Path):
         ]
         yield f"crosscheck:{name}", ["crosscheck", model]
 
+    # the absorb2 enumeration needs exactly 45 candidates, at any --jobs
+    absorb2 = str(FIXTURES / "absorb2.json")
+    for budget in ("44", "45"):
+        for jobs in ("1", "2"):
+            yield f"count-budget{budget}-jobs{jobs}:absorb2", [
+                "enumerate", absorb2, "--count-only", "--budget", budget, "--jobs", jobs,
+            ]
+
     # the funnel2 relative enumeration needs 10 candidates above its I-family
     funnel2 = str(FIXTURES / "funnel2.json")
     bound = inputs / "funnel2_if.json"

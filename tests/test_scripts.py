@@ -64,7 +64,7 @@ def test_cli_digest_is_stable():
     assert lines == runs[1].stdout.splitlines()
     # same outputs as the recorded digest: stdout, written files, exit codes
     assert lines == (GOLDEN / "cli_digest.txt").read_text().splitlines()
-    assert len(lines) == 80
+    assert len(lines) == 84
     assert all(len(line.split()) == 4 for line in lines)
     assert "corpus-repeated-kinds 2" in runs[0].stdout
     # a run that exits 2 on its second write leaves no file: the digest of
@@ -72,3 +72,10 @@ def test_cli_digest_is_stable():
     nothing = hashlib.sha256().hexdigest()[:16]
     assert f"lattice-unwritable-second 2 {nothing} {nothing}" in lines
     assert f"lattice-same-path 2 {nothing} {nothing}" in lines
+    # the budget boundary does not move with --jobs: 44 candidates are one
+    # too few for absorb2, 45 are enough
+    over = hashlib.sha256(b'{"error":"budget-exceeded","stats":{"budget":44}}\n')
+    count = hashlib.sha256(b"14\n")
+    for jobs in ("1", "2"):
+        assert f"count-budget44-jobs{jobs}:absorb2 3 {over.hexdigest()[:16]} {nothing}" in lines
+        assert f"count-budget45-jobs{jobs}:absorb2 0 {count.hexdigest()[:16]} {nothing}" in lines
