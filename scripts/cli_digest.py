@@ -50,7 +50,8 @@ def invocations(inputs: Path):
     for budget in ("44", "45"):
         for jobs in ("1", "2"):
             yield f"count-budget{budget}-jobs{jobs}:absorb2", [
-                "enumerate", absorb2, "--count-only", "--budget", budget, "--jobs", jobs,
+                "enumerate", absorb2, "--count-only",
+                "--budget", budget, "--jobs", jobs,
             ]
 
     # the funnel2 relative enumeration needs 10 candidates above its I-family

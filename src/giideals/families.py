@@ -19,6 +19,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import (
     BudgetExceededError,
@@ -98,9 +99,11 @@ class EnumerationResult:
         }
 
 
-def family_sort_key(model: DirectionModel, fam: IdealFamily):
-    """Concatenated-bitmask key; direction masks in canonical order."""
-    return tuple(fam[m] for m in canonical_masks(model.rank))
+def family_sort_key(model: DirectionModel):
+    """Canonical order's sort key for the model's families: the entries as
+    one tuple, direction masks in canonical order (at least two masks, so
+    always a tuple)."""
+    return itemgetter(*canonical_masks(model.rank))
 
 
 def enumeration_result(
@@ -113,7 +116,7 @@ def enumeration_result(
     when the bound is the model's canonical family (so the result
     parametrises the boundary quotient), "relative_O" otherwise.  ``stats``
     is read after ``families`` is consumed, so it may be the generator's."""
-    fams = sorted(families, key=lambda fam: family_sort_key(model, fam))
+    fams = sorted(families, key=family_sort_key(model))
     if lower is None:
         mode = "T"
     else:
@@ -284,22 +287,24 @@ def iter_t_families(
 ):
     """Lazily yield the families satisfying the per-direction equations.
 
-    Walks direction sets from the full set down to the empty set.  Given the
-    chosen entries at every strict superset, the viable entries at F are
-    fixed points of the monotone map
-    ``S -> AND_i (phi(i, S) & chosen[F + i])`` over free directions i, all of
-    which lie below its greatest fixed point; subsets of the gfp are tried
-    and kept when they satisfy each per-direction equation.  Every completed
-    family is verified against the per-direction equations again before
-    being yielded.
+    Walks direction sets from the full set down to the empty set, one
+    candidate loop per direction set.  Given the chosen entries at every
+    strict superset, the viable entries at F are fixed points of the
+    monotone map ``S -> AND_i (phi(i, S) & chosen[F + i])`` over free
+    directions i, all of which lie below its greatest fixed point; subsets
+    of the gfp are tried and kept when they satisfy each per-direction
+    equation at F.  At the empty set each kept candidate completes a
+    family, which is verified against every per-direction equation again
+    and yielded from that same loop.
 
     ``lower`` restricts the search to families containing it (``None``
     means the all-empty family).  ``budget`` is a positive int bounding the
-    number of candidate evaluations.  ``top_choices`` is any
-    iterable of entries at the full direction set, such as a slice of
-    ``range(1 << n)`` (the default); each top spends one candidate, so the
-    counts of disjoint slices add up.  ``stats`` (if given) accumulates
-    the counters.
+    number of candidate evaluations: each candidate is counted as it is
+    tried, and the one that takes the count past ``budget`` raises.
+    ``top_choices`` is any iterable of entries at the full direction set,
+    such as a slice of ``range(1 << n)`` (the default); each top spends one
+    candidate, so the counts of disjoint slices add up.  ``stats`` (if
+    given) accumulates the counters.
     """
     phi = _phi_lookup(model)
     rank = model.rank
@@ -309,6 +314,7 @@ def iter_t_families(
     covers_of: list[list] = [[] for _ in range(nmasks)]
     for f, p, up in equations:
         covers_of[f].append((p, up))
+    rows_of = [[p for p, _ in covers] for covers in covers_of]
     lower = (0,) * nmasks if lower is None else check_family(model, lower)
     if stats is None:
         stats = {}
@@ -319,49 +325,52 @@ def iter_t_families(
     tops = range(1 << model.vertex_count) if top_choices is None else top_choices
     chosen = [0] * nmasks
 
-    def spend():
-        stats["candidates"] += 1
-        if stats["candidates"] > budget:
-            raise BudgetExceededError(
-                "enumeration budget exceeded", dict(stats, budget=budget)
-            )
+    def exceeded():
+        return BudgetExceededError(
+            "enumeration budget exceeded", dict(stats, budget=budget)
+        )
 
-    def candidates(f):
+    def descend(idx):
+        f = masks_desc[idx]
         lb = lower[f]
-        if f == full_dirs:
-            for s in tops:
-                spend()
-                if lb & ~s == 0:
-                    yield s
-            return
         uppers = [(p, chosen[up]) for p, up in covers_of[f]]
         # greatest fixed point of the pruning map: the greatest subset of
         # the upper entries' meet that every free phi row keeps
         meet_up = model.full
         for _, upper in uppers:
             meet_up &= upper
-        g = _gfp_meet([p for p, _ in uppers], meet_up)
+        g = _gfp_meet(rows_of[f], meet_up)
         if lb & ~g:
             return
+        leaf = f == 0
         for sub in submasks(g & ~lb):
             s = lb | sub
-            spend()
-            if all(p[s] & upper == s for p, upper in uppers):
-                yield s
+            stats["candidates"] += 1
+            if stats["candidates"] > budget:
+                raise exceeded()
+            for p, upper in uppers:
+                if p[s] & upper != s:
+                    break
+            else:
+                chosen[f] = s
+                if not leaf:
+                    yield from descend(idx + 1)
+                    continue
+                for e, p, up in equations:
+                    if p[chosen[e]] & chosen[up] != chosen[e]:
+                        break
+                else:
+                    stats["found"] += 1
+                    yield tuple(chosen)
 
-    def descend(idx):
-        if idx == nmasks:
-            fam = tuple(chosen)
-            if all(p[fam[f]] & fam[fi] == fam[f] for f, p, fi in equations):
-                stats["found"] += 1
-                yield fam
-            return
-        f = masks_desc[idx]
-        for s in candidates(f):
-            chosen[f] = s
-            yield from descend(idx + 1)
-
-    yield from descend(0)
+    lb = lower[full_dirs]
+    for s in tops:
+        stats["candidates"] += 1
+        if stats["candidates"] > budget:
+            raise exceeded()
+        if lb & ~s == 0:
+            chosen[full_dirs] = s
+            yield from descend(1)
 
 
 def enumerate_t_families(

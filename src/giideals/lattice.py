@@ -30,11 +30,11 @@ a node id is the fingerprint of its family document, so ids are stable
 across runs, and both exports read its ``sets``, whose keys are in
 canonical direction-set order.  Exports are byte-stable for a given input.
 
-The JSON export lays out its one fixed document shape directly, string
-leaves through the C encoder :func:`json.encoder.encode_basestring_ascii`
-and each distinct family entry once per export.  It is byte-identical to
-``json.dumps(doc, sort_keys=True, indent=2)`` (whose ``indent`` always
-takes the pure-Python encoder).
+The JSON export lays out its one fixed document shape directly: string
+leaves go through the C encoder :func:`json.encoder.encode_basestring_ascii`,
+each node id and each distinct family entry once per export.  The text is
+``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte (whose
+``indent`` always takes the pure-Python encoder).
 """
 
 from __future__ import annotations
@@ -123,16 +123,24 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
     all, a last family other than all-V or a missing cover is an enumerator
     bug: an internal-consistency error, not an input error.
     """
-    fams = sorted(result.families, key=lambda fam: family_sort_key(model, fam))
+    fams = sorted(result.families, key=family_sort_key(model))
     if not fams:
         raise InvalidInputError("cannot build a lattice from an empty enumeration")
     irr = _join_irreducibles(model)
+    gens: list[list] = [[] for _ in fams[0]]  # at m: (bit of j, v) for each j at m
+    for k, (_, m, v) in enumerate(irr):
+        gens[m].append((1 << k, v))
 
-    def down(fam: IdealFamily) -> int:
-        return sum(1 << k for k, (_, m, v) in enumerate(irr) if fam[m] >> v & 1)
+    def downs_of(families) -> list[int]:
+        # D(x) as a sum over direction sets; each distinct entry's bits found once
+        cols = []
+        for at, col in zip(gens, zip(*families)):
+            bits = {s: sum(b for b, v in at if s >> v & 1) for s in set(col)}
+            cols.append(map(bits.__getitem__, col))
+        return list(map(sum, zip(*cols)))
 
-    lower = [(1 << k, down(j)) for k, (j, _, _) in enumerate(irr)]  # (j, D(j))
-    downs = [down(fam) for fam in fams]
+    lower = list(zip([1 << k for k in range(len(irr))], downs_of(j for j, _, _ in irr)))
+    downs = downs_of(fams)
     index = {d: i for i, d in enumerate(downs)}
     # each j whose down-set leaves only j outside D(x) adds D(x) | j, or None
     ups = [[index.get(d | b) for b, dj in lower if dj & ~d == b] for d in downs]
@@ -216,8 +224,8 @@ def _block(items, indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}" if body else brackets
 
 
-def _node(nid: str, sets: dict[str, list[str]], entries: dict) -> str:
-    """One ``nodes`` entry at its depth: ``family`` (keys sorted), ``id``;
+def _node(quoted_id: str, sets: dict[str, list[str]], entries: dict) -> str:
+    """One ``nodes`` entry at its depth: ``family`` (keys sorted), quoted ``id``;
     each distinct ``label: names`` entry rendered once into ``entries``."""
     family = []
     for label, names in sorted(sets.items()):
@@ -228,23 +236,25 @@ def _node(nid: str, sets: dict[str, list[str]], entries: dict) -> str:
             text = entries[key] = f"{_quote(label)}: {block}"
         family.append(text)
     family_text = _block(family, "      ", "{}")
-    return f'{{\n      "family": {family_text},\n      "id": {_quote(nid)}\n    }}'
+    return f'{{\n      "family": {family_text},\n      "id": {quoted_id}\n    }}'
 
 
 def export_json(lattice: LatticeGraph) -> str:
     """JSON mirror of the lattice fields, stable for a given input: keys
     sorted, two-space indent, ASCII only."""
     entries: dict[tuple[str, ...], str] = {}
+    quoted = {nid: _quote(nid) for nid, _ in lattice.nodes}
     nodes = [
-        _node(nid, sets, entries) for (nid, _), sets in zip(lattice.nodes, lattice.sets)
+        _node(quoted[nid], sets, entries)
+        for (nid, _), sets in zip(lattice.nodes, lattice.sets)
     ]
-    edges = [_block([_quote(lo), _quote(hi)], "    ") for lo, hi in lattice.cover_edges]
+    edges = [_block([quoted[lo], quoted[hi]], "    ") for lo, hi in lattice.cover_edges]
     fields = [
-        f'"bottom": {_quote(lattice.bottom)}',
+        f'"bottom": {quoted[lattice.bottom]}',
         f'"cover_edges": {_block(edges, "  ")}',
         f'"nodes": {_block(nodes, "  ")}',
         f'"rank": {lattice.rank}',
-        f'"top": {_quote(lattice.top)}',
+        f'"top": {quoted[lattice.top]}',
         f'"vertices": {_block(map(_quote, lattice.vertex_names), "  ")}',
     ]
     return _block(fields, "", "{}") + "\n"

@@ -126,7 +126,7 @@ def t_families_by_filter(model: DirectionModel) -> tuple[IdealFamily, ...]:
         for fam in itertools.product(range(1 << model.vertex_count), repeat=nmasks)
         if is_t_family(model, fam).verdict
     ]
-    out.sort(key=lambda fam: family_sort_key(model, fam))
+    out.sort(key=family_sort_key(model))
     return tuple(out)
 
 

@@ -237,9 +237,7 @@ def test_criterion_6_lattice_contract(full_corpus):
             join_pairs += 1
 
         rel = enumerate_relative_o(model, canonical, budget=60_000)
-        assert rel.families[0] == min(
-            rel.families, key=lambda fam: family_sort_key(model, fam)
-        )
+        assert rel.families[0] == min(rel.families, key=family_sort_key(model))
         assert canonical in set(rel.families)
         for fam in rel.families:
             assert all(k & ~s == 0 for k, s in zip(canonical, fam))

@@ -99,4 +99,5 @@ def test_enumeration_counters_match_the_recorded_file():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records()))
+    lines = (json.dumps(rec, sort_keys=True) + "\n" for rec in records())
+    GOLDEN.write_text("".join(lines))

@@ -213,7 +213,7 @@ def test_enumeration_matches_brute_filter_on_fixtures():
 def test_enumeration_canonical_order_and_unique():
     for model in fixtures.all_models():
         result = enumerate_t_families(model)
-        keys = [family_sort_key(model, fam) for fam in result.families]
+        keys = list(map(family_sort_key(model), result.families))
         assert keys == sorted(keys)
         assert len(set(result.families)) == result.count
 

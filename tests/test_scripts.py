@@ -75,7 +75,8 @@ def test_cli_digest_is_stable():
     # the budget boundary does not move with --jobs: 44 candidates are one
     # too few for absorb2, 45 are enough
     over = hashlib.sha256(b'{"error":"budget-exceeded","stats":{"budget":44}}\n')
-    count = hashlib.sha256(b"14\n")
+    count = hashlib.sha256(b"14\n").hexdigest()[:16]
     for jobs in ("1", "2"):
-        assert f"count-budget44-jobs{jobs}:absorb2 3 {over.hexdigest()[:16]} {nothing}" in lines
-        assert f"count-budget45-jobs{jobs}:absorb2 0 {count.hexdigest()[:16]} {nothing}" in lines
+        key = f"count-budget{{}}-jobs{jobs}:absorb2"
+        assert f"{key.format(44)} 3 {over.hexdigest()[:16]} {nothing}" in lines
+        assert f"{key.format(45)} 0 {count} {nothing}" in lines
