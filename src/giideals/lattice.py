@@ -139,7 +139,8 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
             cols.append(map(bits.__getitem__, col))
         return list(map(sum, zip(*cols)))
 
-    lower = list(zip([1 << k for k in range(len(irr))], downs_of(j for j, _, _ in irr)))
+    # (j, D(j)) for each join-irreducible j
+    lower = [(1 << k, d) for k, d in enumerate(downs_of(j for j, _, _ in irr))]
     downs = downs_of(fams)
     index = {d: i for i, d in enumerate(downs)}
     # each j whose down-set leaves only j outside D(x) adds D(x) | j, or None
