@@ -8,6 +8,11 @@ Exit codes: 0 success or check passed; 1 check failed (witness JSON on
 stdout), discrepancies found, or an internal consistency error (two
 engines disagree: a note on stderr, nothing on stdout); 2 invalid input;
 3 budget exceeded.
+
+Each command imports only the modules it uses: at module level this file
+imports ``core`` and ``modelio``, and the handlers import ``families``,
+``lattice`` and ``crossval`` when they need them.  Every command starts a
+fresh interpreter, so a module it does not load is start-up time saved.
 """
 
 from __future__ import annotations
@@ -18,27 +23,12 @@ from pathlib import Path
 
 from .core import (
     BudgetExceededError,
+    DEFAULT_BUDGET,
     InternalConsistencyError,
     InvalidInputError,
     i_family,
     j_family,
 )
-from .crossval import (
-    CorpusSpec,
-    iter_corpus_models,
-    property_suite,
-    random_model,
-    theorem_a_sweep,
-)
-from .families import (
-    DEFAULT_BUDGET,
-    enumeration_result,
-    is_nt_tuple,
-    is_relative_o_family,
-    is_t_family,
-    iter_t_families,
-)
-from .lattice import build_lattice, export_dot, export_json
 from .modelio import (
     canonical_json,
     family_from_path,
@@ -188,6 +178,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .families import is_nt_tuple, is_relative_o_family, is_t_family
+
     model = load_model_path(args.model)
     fam = family_from_path(model, args.family)
     if args.mode == "t":
@@ -206,6 +198,8 @@ def _cmd_family(args) -> int:
 
 
 def _run_enumeration(model, relative_path, budget, jobs):
+    from .families import enumeration_result
+
     lower = family_from_path(model, relative_path) if relative_path else None
     shared = (model, lower, budget)
     tops = range(1 << model.vertex_count)
@@ -229,6 +223,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    from .lattice import build_lattice, export_dot, export_json
+
     paths = [Path(path).resolve() for path in (args.dot, args.json_path) if path]
     if len(set(paths)) < len(paths):
         raise InvalidInputError("--dot and --json name the same file")
@@ -264,6 +260,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    from .crossval import CorpusSpec, iter_corpus_models
+
     if bool(args.model) == bool(args.corpus):
         raise InvalidInputError("give a model file or --corpus, not both or neither")
     if args.model:
@@ -293,6 +291,8 @@ def _cmd_crosscheck(args) -> int:
 def _crosscheck_worker(limits, pairs):
     """Sweep and property-check ``(model, seed)`` pairs; returns the report
     documents and the sweep's ``models``/``candidates`` counters."""
+    from .crossval import property_suite, theorem_a_sweep
+
     ceiling, samples = limits
     stats: dict = {}
     reports = theorem_a_sweep(
@@ -303,6 +303,8 @@ def _crosscheck_worker(limits, pairs):
 
 
 def _cmd_random(args) -> int:
+    from .crossval import random_model
+
     model = random_model(
         args.kind,
         args.rank,
@@ -349,6 +351,8 @@ def _parallel(worker, shared, items, jobs):
 def _enum_worker(shared, tops):
     """The families whose full-direction entry is in ``tops``, and the
     counters; past the budget none, so the check on the sum fails."""
+    from .families import iter_t_families
+
     model, lower, budget = shared
     stats: dict = {}
     try:

@@ -35,6 +35,9 @@ MAX_VERTICES = 64
 #: Tables over all 2**|V| subsets are only materialised below this size.
 _TABLE_LIMIT = 16
 
+#: Candidate evaluations allowed per enumeration before giving up.
+DEFAULT_BUDGET = 2_000_000
+
 VertexSet = int
 SubsetMask = int
 IdealFamily = tuple[int, ...]

@@ -23,6 +23,7 @@ from operator import itemgetter
 
 from .core import (
     BudgetExceededError,
+    DEFAULT_BUDGET,
     DirectionModel,
     IdealFamily,
     InternalConsistencyError,
@@ -42,9 +43,6 @@ from .core import (
     submasks,
 )
 from .modelio import render_families
-
-#: Candidate evaluations allowed per enumeration before giving up.
-DEFAULT_BUDGET = 2_000_000
 
 VIOLATIONS = (
     "invariance",

@@ -153,7 +153,7 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
     ):
         raise InternalConsistencyError("family set is not an interval of T-families")
 
-    sets, ids = render_families(model, fams)
+    sets, ids = render_families(model, fams, with_ids=True)
     # edges by lower node, then by canonical index of the upper node
     edges = [(ids[a], ids[b]) for a, u in enumerate(ups) for b in sorted(u)]
     return LatticeGraph(

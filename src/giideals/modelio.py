@@ -14,7 +14,6 @@ examples):
 
 from __future__ import annotations
 
-import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -47,6 +46,8 @@ def fingerprint(doc) -> str:
 
 
 def _digest(text: str) -> str:
+    import hashlib  # only fingerprints need it
+
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -70,14 +71,18 @@ def model_fingerprint(model: DirectionModel) -> str:
     return fingerprint(model.to_doc())
 
 
-def render_families(model: DirectionModel, families) -> tuple[list[dict], list[str]]:
-    """Each family's document ``sets`` and the fingerprint of its document.
+def render_families(
+    model: DirectionModel, families, with_ids: bool = False
+) -> tuple[list[dict], list[str] | None]:
+    """Each family's document ``sets`` and, ``with_ids``, the fingerprint of
+    its document (else ``None``).
 
     Families are validated by :func:`check_family`; ``sets`` keys are in
     :func:`canonical_masks` order, names in vertex order, and no two dicts
     share a list.  Each distinct vertex set is rendered once, to its names
-    and their compact JSON, from which each document's :func:`canonical_json`
-    text is assembled.  This is the one renderer of families.
+    and, ``with_ids``, their compact JSON, from which each document's
+    :func:`canonical_json` text is assembled and hashed.  This is the one
+    renderer of families.
     """
     names = model.vertex_names
     masks = canonical_masks(model.rank)
@@ -85,18 +90,20 @@ def render_families(model: DirectionModel, families) -> tuple[list[dict], list[s
     by_key = sorted(zip(labels, masks))
     keyed = ",".join(f"{_quote(label)}:%s" for label, _ in by_key)
     template = f'{{"rank":{model.rank},"sets":{{{keyed}}}}}'
-    rendered: dict[int, tuple[list[str], str]] = {}
+    rendered: dict[int, tuple[list[str], str | None]] = {}
     all_sets, ids = [], []
     for family in families:
         fam = check_family(model, family)
         for s in fam:
             if s not in rendered:
                 members = [names[v] for v in range(len(names)) if s >> v & 1]
-                rendered[s] = members, "[" + ",".join(map(_quote, members)) + "]"
+                text = "[" + ",".join(map(_quote, members)) + "]" if with_ids else None
+                rendered[s] = members, text
         entries = [rendered[s] for s in fam]
         all_sets.append({lab: entries[m][0].copy() for lab, m in zip(labels, masks)})
-        ids.append(_digest(template % tuple(entries[m][1] for _, m in by_key)))
-    return all_sets, ids
+        if with_ids:
+            ids.append(_digest(template % tuple(entries[m][1] for _, m in by_key)))
+    return all_sets, ids if with_ids else None
 
 
 def family_to_doc(model: DirectionModel, family) -> dict:
@@ -139,9 +146,11 @@ def family_from_path(model: DirectionModel, path) -> IdealFamily:
 def read_json(path):
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {p}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{p} is not UTF-8 text: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -149,9 +158,10 @@ def read_json(path):
 
 
 def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path``; an unwritable path is invalid input."""
+    """Write ``text`` to ``path`` as UTF-8, whatever the locale; an
+    unwritable path is invalid input."""
     p = Path(path)
     try:
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise InvalidInputError(f"cannot write {p}: {exc}") from None

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: grammar, exit codes, determinism, schemas."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -33,6 +34,105 @@ def test_import_leaves_the_process_pool_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+_REPORT_LOADED = """
+import contextlib, io, json, sys
+if sys.argv[1:]:
+    from giideals.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(sys.argv[1:])
+else:
+    import giideals
+print(json.dumps([m for m in sys.modules if m.startswith("giideals.") or m == "hashlib"]))
+"""
+
+
+def loaded_modules(*argv):
+    """The package modules (``giideals.`` stripped) and ``hashlib`` that a
+    fresh process holds after ``main(argv)``, or after ``import giideals``
+    for no ``argv``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_LOADED, *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("giideals.") for name in json.loads(proc.stdout)}
+
+
+def test_import_of_the_package_loads_no_module():
+    assert loaded_modules() == set()
+
+
+#: per command, its argv and the modules it must not load: ``validate`` and
+#: ``compute`` need no family code, and only fingerprints need ``hashlib``
+UNLOADED_BY = {
+    "validate": (["validate", "loop1.json"], {"families", "crossval", "lattice"}),
+    "compute": (["compute", "jf", "shift2.json"], {"families", "crossval", "lattice", "hashlib"}),
+    "enumerate": (["enumerate", "absorb2.json"], {"crossval", "lattice", "hashlib"}),
+    "family-check": (
+        ["family", "check", "absorb2.json", "absorb2_nested_family.json", "--mode", "t"],
+        {"crossval", "lattice", "hashlib"},
+    ),
+    "random": (
+        ["random", "--kind", "kgraph", "--rank", "2", "--vertices", "4", "--seed", "3"],
+        {"lattice", "hashlib"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", UNLOADED_BY)
+def test_each_command_loads_only_what_it_uses(fixture_dir, command):
+    argv, unloaded = UNLOADED_BY[command]
+    argv = [fx(fixture_dir, a) if a.endswith(".json") else a for a in argv]
+    loaded = loaded_modules(*argv)
+    assert {"cli", "core", "modelio"} <= loaded
+    assert loaded.isdisjoint(unloaded), loaded & unloaded
+
+
+#: a locale whose preferred encoding is ASCII
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+ACCENTED = {"kind": "kgraph", "rank": 1, "vertices": ["é", "v"], "adjacency": [[[1, 1], [0, 1]]]}
+
+
+def cli_process(*argv, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "giideals.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, **(env or {})},
+    )
+
+
+def accented_model(tmp_path):
+    path = tmp_path / "accented.json"
+    path.write_bytes(json.dumps(ACCENTED, ensure_ascii=False).encode("utf-8"))
+    return str(path)
+
+
+def test_undecodable_model_file_is_invalid_input(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe")
+    proc = cli_process("validate", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "not UTF-8" in proc.stderr
+
+
+def test_utf8_model_reads_alike_under_an_ascii_locale(tmp_path):
+    path = accented_model(tmp_path)
+    ascii_run = cli_process("validate", path, env=ASCII_LOCALE)
+    utf8_run = cli_process("validate", path, env={"LC_ALL": "C.UTF-8"})
+    assert ascii_run.returncode == utf8_run.returncode == 0, ascii_run.stderr
+    assert ascii_run.stdout == utf8_run.stdout
+    assert json.loads(ascii_run.stdout)["vertices"] == 2
+
+
+def test_dot_label_is_written_as_utf8_under_an_ascii_locale(tmp_path):
+    dot = tmp_path / "accented.dot"
+    proc = cli_process("lattice", accented_model(tmp_path), "--dot", str(dot), env=ASCII_LOCALE)
+    assert proc.returncode == 0, proc.stderr
+    assert "é" in dot.read_bytes().decode("utf-8")
 
 
 def test_family_check_t_mode_witness(capsys, fixture_dir):
@@ -427,14 +527,14 @@ def test_jobs_enumeration_above_a_bound_that_is_not_a_family(capsys, fixture_dir
 def test_crosscheck_discrepancies_exit_1(capsys, fixture_dir, monkeypatch):
     # a fixed-point verdict that always says no mismatches every valid
     # family; each report is one canonical JSON line on stdout
-    import giideals.cli
+    import giideals.crossval
     from giideals.crossval import theorem_a_sweep
     from giideals.modelio import canonical_json
 
     def faulty_sweep(pairs, **kwargs):
         return theorem_a_sweep(pairs, t_check=lambda m, fam: False, **kwargs)
 
-    monkeypatch.setattr(giideals.cli, "theorem_a_sweep", faulty_sweep)
+    monkeypatch.setattr(giideals.crossval, "theorem_a_sweep", faulty_sweep)
     code, out, err = run(capsys, "crosscheck", fx(fixture_dir, "absorb2.json"))
     assert code == 1
     docs = [json.loads(line) for line in out.splitlines()]
@@ -449,13 +549,13 @@ def test_internal_consistency_error_exits_1(
     capsys, fixture_dir, monkeypatch, tmp_path
 ):
     # two engines disagreeing is a failed check, not invalid input
-    import giideals.cli
+    import giideals.lattice
     from giideals.core import InternalConsistencyError
 
     def broken_build(model, result):
         raise InternalConsistencyError("family set is not an interval of T-families")
 
-    monkeypatch.setattr(giideals.cli, "build_lattice", broken_build)
+    monkeypatch.setattr(giideals.lattice, "build_lattice", broken_build)
     dot = tmp_path / "out.dot"
     code, out, err = run(
         capsys, "lattice", fx(fixture_dir, "loop1.json"), "--dot", str(dot)
