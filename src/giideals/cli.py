@@ -272,12 +272,16 @@ def _cmd_crosscheck(args) -> int:
         pairs = list(iter_corpus_models(spec))
 
     limits = (spec.candidate_ceiling, spec.candidate_samples)
+    indexed = list(enumerate(pairs))
     if args.jobs > 1 and len(pairs) > 1:
-        report_docs, stats = _parallel(_crosscheck_worker, limits, pairs, args.jobs)
+        tagged, stats = _parallel(_crosscheck_worker, limits, indexed, args.jobs)
     else:
-        report_docs, stats = _crosscheck_worker(limits, pairs)
+        tagged, stats = _crosscheck_worker(limits, indexed)
 
-    report_docs.sort(key=lambda d: (d["fingerprint"], d["claim"]))
+    # equal models share a fingerprint: ties go by corpus index, and the
+    # stable sort keeps each model's reports in candidate order
+    tagged.sort(key=lambda item: (item[1]["fingerprint"], item[1]["claim"], item[0]))
+    report_docs = [doc for _, doc in tagged]
     for doc in report_docs:
         _emit(doc)
     _note(
@@ -288,18 +292,26 @@ def _cmd_crosscheck(args) -> int:
     return EXIT_OK if not report_docs else EXIT_CHECK_FAILED
 
 
-def _crosscheck_worker(limits, pairs):
-    """Sweep and property-check ``(model, seed)`` pairs; returns the report
-    documents and the sweep's ``models``/``candidates`` counters."""
+def _crosscheck_worker(limits, indexed):
+    """Sweep and property-check ``(index, (model, seed))`` items one model at
+    a time; returns ``(index, report document)`` pairs and the sweep's summed
+    ``models``/``candidates`` counters."""
     from .crossval import property_suite, theorem_a_sweep
 
     ceiling, samples = limits
-    stats: dict = {}
-    reports = theorem_a_sweep(
-        pairs, candidate_ceiling=ceiling, candidate_samples=samples, stats=stats
-    )
-    reports += property_suite(pairs)
-    return [r.to_doc() for r in reports], stats
+    tagged: list = []
+    stats = {"models": 0, "candidates": 0}
+    for index, pair in indexed:
+        model_stats: dict = {}
+        reports = theorem_a_sweep(
+            [pair], candidate_ceiling=ceiling, candidate_samples=samples,
+            stats=model_stats,
+        )
+        reports += property_suite([pair])
+        tagged += [(index, r.to_doc()) for r in reports]
+        for key in stats:
+            stats[key] += model_stats.get(key, 0)
+    return tagged, stats
 
 
 def _cmd_random(args) -> int:
@@ -326,9 +338,11 @@ def _cmd_random(args) -> int:
 # ``range`` slice each); ``--jobs 1`` runs the same worker in-process.
 # Workers receive the models themselves, so each pickle holds only input
 # data.  Each command re-sorts the merged results canonically, so output
-# does not depend on the schedule.  The enumeration budget is checked once,
-# on the summed candidate count, which equals the serial count; the budget
-# exit reports only the budget, since partial counters depend on the schedule.
+# does not depend on the schedule; crosscheck tags each report with its
+# model's corpus index, which breaks ties between equal models.  The
+# enumeration budget is checked once, on the summed candidate count, which
+# equals the serial count; the budget exit reports only the budget, since
+# partial counters depend on the schedule.
 
 
 def _parallel(worker, shared, items, jobs):

@@ -13,9 +13,14 @@ models, so the fast path cannot drift silently.  The division tables
 (:func:`giideals.core.division_tables`) also serve the property suite.
 Both verdicts walk :func:`giideals.core.direction_covers`: conditions (ii)
 and (iii) of the tuple check are the subset half of the fixed-point
-equation on each cover, the paper's direct route.  The verdicts are
-booleans, so the order of their conditions is free; the witness order
-belongs to :func:`giideals.families.is_nt_tuple`.
+equation on each cover, the paper's direct route.  So the sweep decides
+both verdicts in one pass per candidate (:meth:`SweepTables.mismatches`):
+a failed subset half on one cover breaks the equation and (ii)/(iii) at
+once, so both verdicts are False and nothing else needs reading.  The
+per-verdict methods ``t_verdict`` and ``nt_verdict`` are the reference the
+tests pin that pass to.  The verdicts are booleans, so the order of their
+conditions is free; the witness order belongs to
+:func:`giideals.families.is_nt_tuple`.
 
 Both the sweep and the property suite need tables over every vertex subset,
 so they stop at models of at most 16 vertices: the first
@@ -409,6 +414,12 @@ class SweepTables:
     (i) and (iv).  The verdicts are booleans, so the order of their
     conditions is free; the first-witness order belongs to
     :func:`giideals.families.is_nt_tuple`.
+
+    :meth:`mismatches`, the sweep's kernel, decides both verdicts in one
+    pass over the covers: the failed subset half of the equation on a cover
+    decides both, since it fails T and (ii)/(iii) alike.  :meth:`t_verdict`
+    and :meth:`nt_verdict` decide one verdict each; they are the reference
+    implementation the tests pin the kernel to.
     """
 
     def __init__(self, model: DirectionModel):
@@ -466,6 +477,62 @@ class SweepTables:
                 return False
         return True
 
+    def mismatches(self, candidates, t_check=None) -> list[dict]:
+        """The candidates on which the two verdicts differ, as records
+        ``{"family": fam, "t": t, "nt": nt}`` in candidate order, at most
+        :data:`REPORT_CAP` of them.
+
+        One pass over the covers decides both verdicts.  ``x = phi(i, H_F)
+        & H_{F+i}`` is computed once per cover: T fails where ``x != H_F``,
+        and where ``H_F`` is not inside ``x`` the subset half fails too, so
+        both verdicts are False and the candidate is done.  Only a candidate
+        that passes every subset half goes on to conditions (i) and (iv).
+        ``t_check(fam)``, when given, supplies ``t`` instead of the tables;
+        it is called once per candidate, in candidate order.
+        """
+        phis, triples, jf = self.phis, self.t_triples, self.jf
+        full = self.full
+        cond_i = [(f, jf[f]) for f in self.nonzero_masks]
+        cond_iv = [
+            (f, self.strict_sups[f], jf[f], self.lpi[f], self.lim[f])
+            for f in self.proper_masks
+        ]
+        found: list[dict] = []
+        for fam in candidates:
+            t = True
+            for f, i0, fi in triples:
+                h = fam[f]
+                x = phis[i0][h] & fam[fi]
+                if x != h:
+                    t = False
+                    if h & ~x:
+                        nt = False
+                        break
+            else:
+                # (ii) and (iii) hold; conditions (i) and (iv) decide NT
+                nt = True
+                h0 = fam[0]
+                for f, jf_row in cond_i:
+                    if fam[f] & ~jf_row[h0]:
+                        nt = False
+                        break
+                else:
+                    for f, sups, jf_row, lpi, lim in cond_iv:
+                        k0 = full
+                        for d in sups:
+                            k0 &= fam[d]
+                        h = fam[f]
+                        if lpi[jf_row[h0]] & lpi[k0] & lim[h] & ~h:
+                            nt = False
+                            break
+            if t_check is not None:
+                t = t_check(fam)
+            if t != nt:
+                found.append({"family": fam, "t": t, "nt": nt})
+                if len(found) >= REPORT_CAP:
+                    break
+        return found
+
 
 def _biased_candidates(rng, n, k, count):
     """Seeded candidate families: alternately uniform draws and draws forced
@@ -522,18 +589,20 @@ def sweep_model(
 
     Returns up to :data:`REPORT_CAP` mismatch records ``{"family": fam,
     "t": t_verdict, "nt": nt_verdict}`` in candidate order, where ``fam`` is
-    the candidate family as a tuple of bitmasks.  ``t_check`` overrides the
-    fixed-point verdict (used by the harness self-test to prove the sweep
-    can see an injected fault).  Models above 16 vertices raise
+    the candidate family as a tuple of bitmasks; both verdicts come from
+    one pass of :meth:`SweepTables.mismatches`.  ``t_check(model, fam)``
+    overrides the fixed-point verdict (used by the harness self-test to
+    prove the sweep can see an injected fault) and is called once per
+    candidate.  ``stats`` receives ``mode`` (``"exhaustive"`` or
+    ``"sampled"``) and ``candidates``: the model's candidate space or sample
+    count, which it keeps even when the sweep stops at the
+    :data:`REPORT_CAP`-th mismatch.  Models above 16 vertices raise
     :class:`BudgetExceededError` with stats ``{"vertices": n,
     "table_limit": 16}`` from their first phi table.
     """
     tables = SweepTables(model)
-    tv = (lambda fam: t_check(model, fam)) if t_check else tables.t_verdict
-    nv = tables.nt_verdict
     size = 1 << model.vertex_count
     space = size ** tables.nmasks
-    mismatches: list[dict] = []
     if space <= candidate_ceiling:
         mode = "exhaustive"
         candidates = itertools.product(range(size), repeat=tables.nmasks)
@@ -544,13 +613,9 @@ def sweep_model(
             random.Random(rng_seed), model.vertex_count, model.rank, candidate_samples
         )
         checked = candidate_samples
-    for fam in candidates:
-        a = tv(fam)
-        b = nv(fam)
-        if a != b:
-            mismatches.append({"family": fam, "t": a, "nt": b})
-            if len(mismatches) >= REPORT_CAP:
-                break
+    mismatches = tables.mismatches(
+        candidates, (lambda fam: t_check(model, fam)) if t_check else None
+    )
     if stats is not None:
         stats["mode"] = mode
         stats["candidates"] = checked
@@ -581,6 +646,9 @@ def theorem_a_sweep(
     verdicts with that lower bound (claim ``no_matches_o``).  The bound,
     :func:`giideals.core.i_family`, is computed only for a model with
     mismatches.  Returns one report per claim and mismatch (expected: none).
+    ``stats`` receives ``models`` and ``candidates``, the sum of each
+    model's candidate space or sample count (see :func:`sweep_model`), also
+    for a model whose sweep stopped at the :data:`REPORT_CAP`-th mismatch.
     """
     reports: list[DiscrepancyReport] = []
     total = {"models": 0, "candidates": 0}

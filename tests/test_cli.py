@@ -602,6 +602,42 @@ def test_jobs_crosscheck_deterministic(capsys, fixture_dir):
     assert out1 == out2
 
 
+def test_jobs_crosscheck_orders_reports_of_equal_fingerprints_by_corpus_index(
+    capsys, tmp_path, monkeypatch
+):
+    # reports that tie on (fingerprint, claim) print in corpus order and, per
+    # model, in candidate order, whichever worker swept the model
+    import giideals.crossval
+    from giideals.crossval import CorpusSpec, DiscrepancyReport, iter_corpus_models
+
+    def tied_sweep(pairs, stats=None, **kwargs):
+        if stats is not None:
+            stats.update(models=len(pairs), candidates=0)
+        return [
+            DiscrepancyReport("same", "nt_matches_t", {}, {"candidate": c}, seed)
+            for _, seed in pairs
+            for c in range(2)
+        ]
+
+    monkeypatch.setattr(giideals.crossval, "theorem_a_sweep", tied_sweep)
+    spec = {
+        "kinds": ["dynsys"], "rank_min": 1, "rank_max": 1,
+        "vertices_min": 1, "vertices_max": 2, "sample_count": 3,
+    }
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(spec))
+    args = ["crosscheck", "--corpus", str(corpus)]
+    code1, out1, _ = run(capsys, *args, "--jobs", "1")
+    code2, out2, _ = run(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == 1
+    assert out1 == out2
+    seeds = [seed for _, seed in iter_corpus_models(CorpusSpec.from_doc(spec))]
+    docs = [json.loads(line) for line in out1.splitlines()]
+    assert [(d["seed"], d["datum"]["candidate"]) for d in docs] == [
+        (seed, c) for seed in seeds for c in range(2)
+    ]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2", "x"])
 @pytest.mark.parametrize(
     "command", [["enumerate", "--count-only"], ["crosscheck"]], ids=lambda c: c[0]

@@ -41,6 +41,22 @@ from helpers import cli_rejects, doc_file, small_models
 # the fast tables must agree with the public checkers
 
 
+def assert_kernel_decides(tables, fam):
+    # the fused kernel decides (t, nt) as the two reference methods do: with
+    # t fixed to True and then to False its one record reveals nt, and with
+    # no t_check it reports the pair exactly when the two differ
+    t, nt = tables.t_verdict(fam), tables.nt_verdict(fam)
+    assert tables.mismatches([fam], lambda f: True) == (
+        [] if nt else [{"family": fam, "t": True, "nt": False}]
+    )
+    assert tables.mismatches([fam], lambda f: False) == (
+        [{"family": fam, "t": False, "nt": True}] if nt else []
+    )
+    assert tables.mismatches([fam]) == (
+        [] if t == nt else [{"family": fam, "t": t, "nt": nt}]
+    )
+
+
 def test_sweep_tables_match_public_checkers_exhaustively():
     for model in fixtures.all_models():
         tables = SweepTables(model)
@@ -48,6 +64,7 @@ def test_sweep_tables_match_public_checkers_exhaustively():
         for fam in itertools.product(range(size), repeat=1 << model.rank):
             assert tables.t_verdict(fam) == is_t_family(model, fam).verdict
             assert tables.nt_verdict(fam) == is_nt_tuple(model, fam).verdict
+            assert_kernel_decides(tables, fam)
 
 
 @settings(max_examples=15)
@@ -61,6 +78,7 @@ def test_sweep_tables_match_public_checkers_sampled(model, data):
         )
         assert tables.t_verdict(fam) == is_t_family(model, fam).verdict
         assert tables.nt_verdict(fam) == is_nt_tuple(model, fam).verdict
+        assert_kernel_decides(tables, fam)
 
 
 def test_sweep_tables_match_public_checkers_at_rank_3():
@@ -76,6 +94,7 @@ def test_sweep_tables_match_public_checkers_at_rank_3():
                 exits.add(nt.violated_condition)
                 assert tables.t_verdict(fam) == is_t_family(model, fam).verdict
                 assert tables.nt_verdict(fam) == nt.verdict
+                assert_kernel_decides(tables, fam)
     assert exits == {
         "condition_i", "invariance", "partial_order", "nt_condition_iv", None
     }
@@ -146,6 +165,50 @@ def test_sweep_stops_at_report_cap():
     expected = [{"family": fam, "t": True, "nt": False} for fam in first]
     assert REPORT_CAP == 50 and len(expected) == 51
     assert sweep_model(model, t_check=lambda m, fam: True) == expected[:50]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda model, row: [model.full] * len(row),                    # (i) always holds
+    lambda model, row: [h & ~(model.full + 1 >> 1) for h in row],  # drops a vertex
+], ids=["jf-full", "jf-drops-a-vertex"])
+def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, corrupt):
+    # without t_check the sweep decides T from its own tables; on corrupted
+    # division rows NT disagrees with T, and the sweep must report exactly
+    # what the two reference methods decide on the same tables
+    import giideals.crossval as crossval
+
+    class FaultyTables(SweepTables):
+        def __init__(self, model):
+            super().__init__(model)
+            self.jf = {f: corrupt(model, row) for f, row in self.jf.items()}
+
+    monkeypatch.setattr(crossval, "SweepTables", FaultyTables)
+    model = random_model("dynsys", 2, 4, seed=2)
+    tables = FaultyTables(model)
+    size = 1 << model.vertex_count
+    reference = []
+    for fam in itertools.product(range(size), repeat=1 << model.rank):
+        t, nt = tables.t_verdict(fam), tables.nt_verdict(fam)
+        if t != nt:
+            reference.append({"family": fam, "t": t, "nt": nt})
+    assert len(reference) > REPORT_CAP
+    expected = reference[:REPORT_CAP]
+    assert sweep_model(model) == expected
+
+    # a t_check supplying the same verdicts gives the same records and is
+    # called once per candidate up to the cut
+    calls = []
+
+    def counted(mdl, fam):
+        calls.append(fam)
+        return tables.t_verdict(fam)
+
+    stats = {}
+    assert sweep_model(model, t_check=counted, stats=stats) == expected
+    candidates = itertools.product(range(size), repeat=1 << model.rank)
+    assert calls == list(itertools.islice(candidates, len(calls)))
+    assert calls[-1] == expected[-1]["family"]
+    assert stats == {"mode": "exhaustive", "candidates": size ** 4}
 
 
 def test_sweep_sampled_mode_is_deterministic():
