@@ -92,7 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relative", help="lower-bound family file")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="the most worker processes a command may use; enumerate uses one",
+    )
 
     p = sub.add_parser("lattice", help="build and export the family lattice")
     p.add_argument("model")
@@ -180,6 +183,10 @@ def _cmd_compute(args) -> int:
 def _cmd_family(args) -> int:
     from .families import is_nt_tuple, is_relative_o_family, is_t_family
 
+    if args.mode == "rel" and not args.k_family:
+        raise InvalidInputError("--mode rel requires --k <family file>")
+    if args.mode != "rel" and args.k_family:
+        raise InvalidInputError(f"--k applies only to --mode rel, not --mode {args.mode}")
     model = load_model_path(args.model)
     fam = family_from_path(model, args.family)
     if args.mode == "t":
@@ -189,32 +196,29 @@ def _cmd_family(args) -> int:
     elif args.mode == "o":
         report = is_relative_o_family(model, fam, i_family(model))
     else:
-        if not args.k_family:
-            raise InvalidInputError("--mode rel requires --k <family file>")
         bound = family_from_path(model, args.k_family)
         report = is_relative_o_family(model, fam, bound)
     _emit(report.to_doc())
     return EXIT_OK if report.verdict else EXIT_CHECK_FAILED
 
 
-def _run_enumeration(model, relative_path, budget, jobs):
-    from .families import enumeration_result
+def _run_enumeration(model, relative_path, budget):
+    """The T-families, or those above the bound in ``relative_path``; a
+    budget exit reports only the budget."""
+    from .families import enumerate_relative_o, enumerate_t_families
 
     lower = family_from_path(model, relative_path) if relative_path else None
-    shared = (model, lower, budget)
-    tops = range(1 << model.vertex_count)
-    if jobs > 1:
-        fams, stats = _parallel(_enum_worker, shared, tops, jobs)
-    else:
-        fams, stats = _enum_worker(shared, tops)
-    if stats["candidates"] > budget:
-        raise BudgetExceededError("enumeration budget exceeded", {"budget": budget})
-    return enumeration_result(model, fams, lower, stats)
+    try:
+        if lower is None:
+            return enumerate_t_families(model, budget)
+        return enumerate_relative_o(model, lower, budget)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(str(exc), {"budget": budget}) from None
 
 
 def _cmd_enumerate(args) -> int:
     model = load_model_path(args.model)
-    result = _run_enumeration(model, args.relative, args.budget, args.jobs)
+    result = _run_enumeration(model, args.relative, args.budget)
     if args.count_only:
         print(result.count)
     else:
@@ -229,7 +233,7 @@ def _cmd_lattice(args) -> int:
     if len(set(paths)) < len(paths):
         raise InvalidInputError("--dot and --json name the same file")
     model = load_model_path(args.model)
-    result = _run_enumeration(model, args.relative, args.budget, 1)
+    result = _run_enumeration(model, args.relative, args.budget)
     lat = build_lattice(model, result)
     outputs = [
         (path, export(lat))
@@ -333,22 +337,17 @@ def _cmd_random(args) -> int:
 # ---------------------------------------------------------------------------
 # the parallel path
 #
-# ``crosscheck --corpus`` strides its models over the workers and
-# ``enumerate`` strides the entries at the full direction set (a lazy
-# ``range`` slice each); ``--jobs 1`` runs the same worker in-process.
-# Workers receive the models themselves, so each pickle holds only input
-# data.  Each command re-sorts the merged results canonically, so output
-# does not depend on the schedule; crosscheck tags each report with its
-# model's corpus index, which breaks ties between equal models.  The
-# enumeration budget is checked once, on the summed candidate count, which
-# equals the serial count; the budget exit reports only the budget, since
-# partial counters depend on the schedule.
+# ``crosscheck --corpus`` strides its models over the workers; ``--jobs 1``
+# runs the same worker in-process.  Workers receive the models themselves,
+# so each pickle holds only input data.  The merged reports are re-sorted
+# canonically, and each carries its model's corpus index, which breaks ties
+# between equal models, so output does not depend on the schedule.
 
 
 def _parallel(worker, shared, items, jobs):
     """Run ``worker(shared, items[w::jobs])`` for each worker ``w`` in a
-    process pool; concatenate the lists the workers return and sum their
-    counters."""
+    process pool (``crosscheck --corpus`` above ``--jobs 1``); concatenate
+    the lists the workers return and sum their counters."""
     from concurrent.futures import ProcessPoolExecutor  # slow to import
 
     chunks = [chunk for chunk in (items[w::jobs] for w in range(jobs)) if chunk]
@@ -360,19 +359,6 @@ def _parallel(worker, shared, items, jobs):
             for key, value in part_stats.items():
                 stats[key] = stats.get(key, 0) + value
     return out, stats
-
-
-def _enum_worker(shared, tops):
-    """The families whose full-direction entry is in ``tops``, and the
-    counters; past the budget none, so the check on the sum fails."""
-    from .families import iter_t_families
-
-    model, lower, budget = shared
-    stats: dict = {}
-    try:
-        return list(iter_t_families(model, lower, budget, tops, stats)), stats
-    except BudgetExceededError:
-        return [], stats
 
 
 if __name__ == "__main__":

@@ -280,7 +280,6 @@ def iter_t_families(
     model: DirectionModel,
     lower: IdealFamily | None = None,
     budget: int = DEFAULT_BUDGET,
-    top_choices=None,
     stats: dict | None = None,
 ):
     """Lazily yield the families satisfying the per-direction equations.
@@ -298,11 +297,9 @@ def iter_t_families(
     ``lower`` restricts the search to families containing it (``None``
     means the all-empty family).  ``budget`` is a positive int bounding the
     number of candidate evaluations: each candidate is counted as it is
-    tried, and the one that takes the count past ``budget`` raises.
-    ``top_choices`` is any iterable of entries at the full direction set,
-    such as a slice of ``range(1 << n)`` (the default); each top spends one
-    candidate, so the counts of disjoint slices add up.  ``stats`` (if
-    given) accumulates the counters.
+    tried, and the one that takes the count past ``budget`` raises.  Each
+    entry at the full direction set, every subset of the vertices, spends
+    one candidate.  ``stats`` (if given) accumulates the counters.
     """
     phi = _phi_lookup(model)
     rank = model.rank
@@ -320,7 +317,6 @@ def iter_t_families(
     stats.setdefault("found", 0)
 
     masks_desc = sorted(range(nmasks), key=lambda m: (-m.bit_count(), m))
-    tops = range(1 << model.vertex_count) if top_choices is None else top_choices
     chosen = [0] * nmasks
 
     def exceeded():
@@ -362,7 +358,7 @@ def iter_t_families(
                     yield tuple(chosen)
 
     lb = lower[full_dirs]
-    for s in tops:
+    for s in range(1 << model.vertex_count):
         stats["candidates"] += 1
         if stats["candidates"] > budget:
             raise exceeded()

@@ -26,8 +26,9 @@ def fx(fixture_dir, name):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    """Only ``--jobs`` above 1 needs the process pool, which is slow to
-    import, so a fresh import of the CLI does not load it."""
+    """Only ``crosscheck --corpus`` above ``--jobs 1`` needs the process
+    pool, which is slow to import, so a fresh import of the CLI does not
+    load it."""
     code = "import giideals.cli, sys; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
@@ -44,14 +45,17 @@ if sys.argv[1:]:
         main(sys.argv[1:])
 else:
     import giideals
-print(json.dumps([m for m in sys.modules if m.startswith("giideals.") or m == "hashlib"]))
+print(json.dumps([
+    m for m in sys.modules
+    if m.startswith("giideals.") or m in ("hashlib", "concurrent.futures.process")
+]))
 """
 
 
 def loaded_modules(*argv):
-    """The package modules (``giideals.`` stripped) and ``hashlib`` that a
-    fresh process holds after ``main(argv)``, or after ``import giideals``
-    for no ``argv``."""
+    """The package modules (``giideals.`` stripped), ``hashlib`` and the
+    process pool's module that a fresh process holds after ``main(argv)``,
+    or after ``import giideals`` for no ``argv``."""
     proc = subprocess.run(
         [sys.executable, "-c", _REPORT_LOADED, *argv],
         capture_output=True, text=True, timeout=60,
@@ -62,6 +66,20 @@ def loaded_modules(*argv):
 
 def test_import_of_the_package_loads_no_module():
     assert loaded_modules() == set()
+
+
+def test_only_the_corpus_crosscheck_loads_the_process_pool(fixture_dir, tmp_path):
+    """``enumerate`` runs in one process under any ``--jobs``;
+    ``crosscheck --corpus`` over two models with ``--jobs 2`` starts the
+    pool."""
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({
+        "kinds": ["dynsys"], "rank_min": 1, "rank_max": 1,
+        "vertices_min": 2, "vertices_max": 2, "sample_count": 2,
+    }))
+    pool = "concurrent.futures.process"
+    assert pool not in loaded_modules("enumerate", fx(fixture_dir, "absorb2.json"), "--jobs", "2")
+    assert pool in loaded_modules("crosscheck", "--corpus", str(corpus), "--jobs", "2")
 
 
 #: per command, its argv and the modules it must not load: ``validate`` and
@@ -173,6 +191,19 @@ def test_family_check_rel_requires_bound(capsys, fixture_dir):
     )
     assert code == 2
     assert "requires" in err
+
+
+@pytest.mark.parametrize("mode", ["t", "nt", "o"])
+def test_family_check_bound_outside_rel_mode_is_invalid_input(capsys, mode):
+    # checked before any file is read: neither the model nor the bound exists
+    code, out, err = run(
+        capsys,
+        "family", "check", "missing-model.json", "missing-family.json",
+        "--mode", mode, "--k", "missing-bound.json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--k" in err and "missing" not in err
 
 
 def test_family_check_rel_mode_passes(capsys, fixture_dir):
@@ -429,7 +460,7 @@ def test_jobs_do_not_change_output(capsys, fixture_dir):
 
 
 def test_jobs_share_one_enumeration_budget(capsys, tmp_path):
-    # the model needs 402 candidates in all, fewer than 300 per worker
+    # the model needs 402 candidates in all, so budget 300 runs out
     code, doc, _ = run(
         capsys, "random", "--kind", "kgraph", "--rank", "2", "--vertices", "5",
         "--seed", "7",
@@ -453,7 +484,7 @@ def test_jobs_share_one_enumeration_budget(capsys, tmp_path):
 
 def test_jobs_share_the_relative_enumeration_budget(capsys, fixture_dir, tmp_path):
     # funnel2 above its canonical family needs 10 candidates in all; tops
-    # below the bound count too, whichever worker draws them
+    # below the bound count too
     model = fx(fixture_dir, "funnel2.json")
     code, doc, _ = run(capsys, "compute", "if", model)
     assert code == 0
@@ -472,7 +503,7 @@ def test_jobs_share_the_relative_enumeration_budget(capsys, fixture_dir, tmp_pat
 
 
 def test_jobs_budget_exit_identical_on_21_vertices(capsys, tmp_path):
-    # 2**21 tops: the budget runs out long before the workers' slices do
+    # 2**21 tops: the budget runs out long before the tops do
     code, doc, _ = run(
         capsys, "random", "--kind", "dynsys", "--rank", "1", "--vertices", "21",
         "--seed", "1",
