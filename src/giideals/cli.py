@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .core import (
@@ -275,47 +276,45 @@ def _cmd_crosscheck(args) -> int:
         spec = CorpusSpec.from_doc(read_json(args.corpus))
         pairs = list(iter_corpus_models(spec))
 
-    limits = (spec.candidate_ceiling, spec.candidate_samples)
-    indexed = list(enumerate(pairs))
-    if args.jobs > 1 and len(pairs) > 1:
-        tagged, stats = _parallel(_crosscheck_worker, limits, indexed, args.jobs)
+    # both maps yield in corpus order, so under any --jobs the first model
+    # in corpus order to raise (a budget exit) is the one reported, and the
+    # stable sort prints the reports of equal models in corpus order, each
+    # model's in candidate order
+    jobs = min(args.jobs, len(pairs))
+    task = partial(_crosscheck_model, spec.candidate_ceiling, spec.candidate_samples)
+    if jobs <= 1:
+        results = list(map(task, pairs))
     else:
-        tagged, stats = _crosscheck_worker(limits, indexed)
+        from concurrent.futures import ProcessPoolExecutor  # slow to import
 
-    # equal models share a fingerprint: ties go by corpus index, and the
-    # stable sort keeps each model's reports in candidate order
-    tagged.sort(key=lambda item: (item[1]["fingerprint"], item[1]["claim"], item[0]))
-    report_docs = [doc for _, doc in tagged]
+        with ProcessPoolExecutor(jobs) as pool:
+            results = list(pool.map(task, pairs))
+
+    report_docs = sorted(
+        (doc for docs, _ in results for doc in docs),
+        key=lambda doc: (doc["fingerprint"], doc["claim"]),
+    )
     for doc in report_docs:
         _emit(doc)
     _note(
-        f"crosscheck: {stats['models']} model(s), "
-        f"{stats['candidates']} candidate families, "
+        f"crosscheck: {len(pairs)} model(s), "
+        f"{sum(candidates for _, candidates in results)} candidate families, "
         f"{len(report_docs)} discrepancy report(s)"
     )
     return EXIT_OK if not report_docs else EXIT_CHECK_FAILED
 
 
-def _crosscheck_worker(limits, indexed):
-    """Sweep and property-check ``(index, (model, seed))`` items one model at
-    a time; returns ``(index, report document)`` pairs and the sweep's summed
-    ``models``/``candidates`` counters."""
+def _crosscheck_model(ceiling, samples, pair):
+    """Sweep and property-check one ``(model, seed)`` pair; returns its
+    report documents and the sweep's candidate count."""
     from .crossval import property_suite, theorem_a_sweep
 
-    ceiling, samples = limits
-    tagged: list = []
-    stats = {"models": 0, "candidates": 0}
-    for index, pair in indexed:
-        model_stats: dict = {}
-        reports = theorem_a_sweep(
-            [pair], candidate_ceiling=ceiling, candidate_samples=samples,
-            stats=model_stats,
-        )
-        reports += property_suite([pair])
-        tagged += [(index, r.to_doc()) for r in reports]
-        for key in stats:
-            stats[key] += model_stats.get(key, 0)
-    return tagged, stats
+    stats: dict = {}
+    reports = theorem_a_sweep(
+        [pair], candidate_ceiling=ceiling, candidate_samples=samples, stats=stats
+    )
+    reports += property_suite([pair])
+    return [r.to_doc() for r in reports], stats.get("candidates", 0)
 
 
 def _cmd_random(args) -> int:
@@ -332,33 +331,6 @@ def _cmd_random(args) -> int:
     )
     _emit(model.to_doc())
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# the parallel path
-#
-# ``crosscheck --corpus`` strides its models over the workers; ``--jobs 1``
-# runs the same worker in-process.  Workers receive the models themselves,
-# so each pickle holds only input data.  The merged reports are re-sorted
-# canonically, and each carries its model's corpus index, which breaks ties
-# between equal models, so output does not depend on the schedule.
-
-
-def _parallel(worker, shared, items, jobs):
-    """Run ``worker(shared, items[w::jobs])`` for each worker ``w`` in a
-    process pool (``crosscheck --corpus`` above ``--jobs 1``); concatenate
-    the lists the workers return and sum their counters."""
-    from concurrent.futures import ProcessPoolExecutor  # slow to import
-
-    chunks = [chunk for chunk in (items[w::jobs] for w in range(jobs)) if chunk]
-    out: list = []
-    stats: dict = {}
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for part, part_stats in pool.map(worker, [shared] * len(chunks), chunks):
-            out.extend(part)
-            for key, value in part_stats.items():
-                stats[key] = stats.get(key, 0) + value
-    return out, stats
 
 
 if __name__ == "__main__":

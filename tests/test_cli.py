@@ -69,17 +69,23 @@ def test_import_of_the_package_loads_no_module():
 
 
 def test_only_the_corpus_crosscheck_loads_the_process_pool(fixture_dir, tmp_path):
-    """``enumerate`` runs in one process under any ``--jobs``;
-    ``crosscheck --corpus`` over two models with ``--jobs 2`` starts the
-    pool."""
-    corpus = tmp_path / "corpus.json"
-    corpus.write_text(json.dumps({
-        "kinds": ["dynsys"], "rank_min": 1, "rank_max": 1,
-        "vertices_min": 2, "vertices_max": 2, "sample_count": 2,
-    }))
+    """``enumerate`` runs in one process under any ``--jobs``, and so does
+    ``crosscheck`` of one model, from a file or a corpus; ``crosscheck
+    --corpus`` over two models with ``--jobs 2`` starts the pool."""
+    def corpus(models):
+        path = tmp_path / f"corpus{models}.json"
+        path.write_text(json.dumps({
+            "kinds": ["dynsys"], "rank_min": 1, "rank_max": 1,
+            "vertices_min": 2, "vertices_max": 2, "sample_count": models,
+        }))
+        return str(path)
+
+    absorb2 = fx(fixture_dir, "absorb2.json")
     pool = "concurrent.futures.process"
-    assert pool not in loaded_modules("enumerate", fx(fixture_dir, "absorb2.json"), "--jobs", "2")
-    assert pool in loaded_modules("crosscheck", "--corpus", str(corpus), "--jobs", "2")
+    assert pool not in loaded_modules("enumerate", absorb2, "--jobs", "2")
+    assert pool not in loaded_modules("crosscheck", absorb2, "--jobs", "2")
+    assert pool not in loaded_modules("crosscheck", "--corpus", corpus(1), "--jobs", "2")
+    assert pool in loaded_modules("crosscheck", "--corpus", corpus(2), "--jobs", "2")
 
 
 #: per command, its argv and the modules it must not load: ``validate`` and
@@ -624,6 +630,20 @@ def test_crosscheck_beyond_the_table_limit_is_a_budget_exit(capsys, tmp_path):
     code, out, _ = run(capsys, "crosscheck", "--corpus", str(corpus), "--jobs", "2")
     assert code == 3
     assert json.loads(out)["stats"] == {"vertices": 17, "table_limit": 16}
+
+    # models of 4, 17 and 18 vertices: the first in corpus order to exceed
+    # the table limit is reported, whichever worker sweeps it
+    corpus.write_text(json.dumps({
+        "kinds": ["dynsys"], "rank_min": 1, "rank_max": 1,
+        "vertices_min": 2, "vertices_max": 18, "sample_count": 3, "seed": 245,
+    }))
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "crosscheck", "--corpus", str(corpus), "--jobs", jobs)
+        assert code == 3
+        assert json.loads(out) == {
+            "error": "budget-exceeded",
+            "stats": {"vertices": 17, "table_limit": 16},
+        }
 
 
 def test_jobs_crosscheck_deterministic(capsys, fixture_dir):
