@@ -233,6 +233,9 @@ def _cmd_lattice(args) -> int:
     paths = [Path(path).resolve() for path in (args.dot, args.json_path) if path]
     if len(set(paths)) < len(paths):
         raise InvalidInputError("--dot and --json name the same file")
+    inputs = {Path(path).resolve() for path in (args.model, args.relative) if path}
+    if inputs & set(paths):
+        raise InvalidInputError("--dot or --json names an input file")
     model = load_model_path(args.model)
     result = _run_enumeration(model, args.relative, args.budget)
     lat = build_lattice(model, result)

@@ -284,87 +284,80 @@ def iter_t_families(
 ):
     """Lazily yield the families satisfying the per-direction equations.
 
-    Walks direction sets from the full set down to the empty set, one
-    candidate loop per direction set.  Given the chosen entries at every
-    strict superset, the viable entries at F are fixed points of the
-    monotone map ``S -> AND_i (phi(i, S) & chosen[F + i])`` over free
-    directions i, all of which lie below its greatest fixed point; subsets
-    of the gfp are tried and kept when they satisfy each per-direction
-    equation at F.  At the empty set each kept candidate completes a
-    family, which is verified against every per-direction equation again
-    and yielded from that same loop.
+    One candidate loop over an explicit stack walks the direction sets from
+    the full set down to the empty set, one frame per direction set, so no
+    rank recurses.  Given the chosen entries at every strict superset, the
+    viable entries at F are fixed points of the monotone map
+    ``S -> AND_i (phi(i, S) & chosen[F + i])`` over free directions i, all
+    of which lie below its greatest fixed point: F's frame tries the gfp's
+    subsets above ``lower[F]``, and each that satisfies every equation at F
+    pushes the next direction set's frame.  The full set's frame tries
+    every vertex subset, skipping those not above ``lower``.  At the empty
+    set a kept candidate completes a family, which is verified against
+    every equation again and yielded.
 
     ``lower`` restricts the search to families containing it (``None``
     means the all-empty family).  ``budget`` is a positive int bounding the
     number of candidate evaluations: each candidate is counted as it is
-    tried, and the one that takes the count past ``budget`` raises.  Each
-    entry at the full direction set, every subset of the vertices, spends
-    one candidate.  ``stats`` (if given) accumulates the counters.
+    tried, and the one that takes the count past ``budget`` raises.
+    ``stats`` (if given) accumulates the ``candidates`` and ``found``
+    counters, written before each yield, before the raise and at the end.
     """
     phi = _phi_lookup(model)
-    rank = model.rank
-    nmasks = 1 << rank
-    full_dirs = nmasks - 1
-    equations = [(f, phi[i - 1], up) for f, i, up in direction_covers(rank)]
+    nmasks = 1 << model.rank
+    equations = [(f, phi[i - 1], up) for f, i, up in direction_covers(model.rank)]
     covers_of: list[list] = [[] for _ in range(nmasks)]
     for f, p, up in equations:
         covers_of[f].append((p, up))
-    rows_of = [[p for p, _ in covers] for covers in covers_of]
     lower = (0,) * nmasks if lower is None else check_family(model, lower)
-    if stats is None:
-        stats = {}
-    stats.setdefault("candidates", 0)
-    stats.setdefault("found", 0)
+    stats = {} if stats is None else stats
+    candidates = stats.setdefault("candidates", 0)
+    found = stats.setdefault("found", 0)
 
     masks_desc = sorted(range(nmasks), key=lambda m: (-m.bit_count(), m))
     chosen = [0] * nmasks
-
-    def exceeded():
-        return BudgetExceededError(
-            "enumeration budget exceeded", dict(stats, budget=budget)
-        )
-
-    def descend(idx):
-        f = masks_desc[idx]
-        lb = lower[f]
-        uppers = [(p, chosen[up]) for p, up in covers_of[f]]
-        # greatest fixed point of the pruning map: the greatest subset of
-        # the upper entries' meet that every free phi row keeps
-        meet_up = model.full
-        for _, upper in uppers:
-            meet_up &= upper
-        g = _gfp_meet(rows_of[f], meet_up)
-        if lb & ~g:
-            return
-        leaf = f == 0
-        for sub in submasks(g & ~lb):
-            s = lb | sub
-            stats["candidates"] += 1
-            if stats["candidates"] > budget:
-                raise exceeded()
+    # frames: (direction set, bound, base, untried candidates, (row, upper) pairs)
+    stack = [(nmasks - 1, lower[-1], 0, iter(range(1 << model.vertex_count)), ())]
+    while stack:
+        f, lb, base, untried, uppers = stack[-1]
+        for sub in untried:
+            s = base | sub
+            candidates += 1
+            if candidates > budget:
+                stats["candidates"], stats["found"] = candidates, found
+                raise BudgetExceededError(
+                    f"enumeration tried more than {budget} candidates",
+                    dict(stats, budget=budget),
+                )
+            if lb & ~s:
+                continue
             for p, upper in uppers:
                 if p[s] & upper != s:
                     break
             else:
                 chosen[f] = s
-                if not leaf:
-                    yield from descend(idx + 1)
-                    continue
+                if f:
+                    f = masks_desc[len(stack)]
+                    lb = lower[f]
+                    uppers = [(p, chosen[up]) for p, up in covers_of[f]]
+                    # the pruning map's gfp: below the meet of the upper entries
+                    meet_up = model.full
+                    for _, upper in uppers:
+                        meet_up &= upper
+                    g = _gfp_meet([p for p, _ in uppers], meet_up)
+                    untried = () if lb & ~g else submasks(g & ~lb)
+                    stack.append((f, lb, lb, untried, uppers))
+                    break
                 for e, p, up in equations:
                     if p[chosen[e]] & chosen[up] != chosen[e]:
                         break
                 else:
-                    stats["found"] += 1
+                    found += 1
+                    stats["candidates"], stats["found"] = candidates, found
                     yield tuple(chosen)
-
-    lb = lower[full_dirs]
-    for s in range(1 << model.vertex_count):
-        stats["candidates"] += 1
-        if stats["candidates"] > budget:
-            raise exceeded()
-        if lb & ~s == 0:
-            chosen[full_dirs] = s
-            yield from descend(1)
+        else:
+            stack.pop()
+    stats["candidates"], stats["found"] = candidates, found
 
 
 def enumerate_t_families(

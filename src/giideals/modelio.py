@@ -155,6 +155,8 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{p} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInputError(f"{p} nests too deeply to parse") from None
 
 
 def write_text(path, text: str) -> None:

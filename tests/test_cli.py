@@ -387,6 +387,52 @@ def test_lattice_same_output_path_is_invalid_input(capsys, fixture_dir, tmp_path
     assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
 
 
+def test_lattice_output_naming_an_input_is_invalid_input(capsys, fixture_dir, tmp_path):
+    """An output path that resolves to the model or the ``--relative`` file
+    is rejected before anything is read or written."""
+    (tmp_path / "sub").mkdir()
+    model = tmp_path / "m.json"
+    model.write_text((fixture_dir / "loop1.json").read_text())
+    bound = tmp_path / "k.json"
+    bound.write_text(json.dumps({"rank": 1, "sets": {"": [], "1": ["v"]}}))
+    before = {path: path.read_text() for path in (model, bound)}
+    for flag, target in (("--dot", model), ("--json", tmp_path / "sub" / ".." / "k.json")):
+        code, out, err = run(
+            capsys,
+            "lattice", str(model), "--relative", str(bound), flag, str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert "names an input file" in err
+    assert {path: path.read_text() for path in before} == before
+    assert sorted(tmp_path.iterdir()) == [bound, model, tmp_path / "sub"]
+
+
+RANK10_MODELS = [
+    ({"kind": "dynsys", "rank": 10, "points": ["a"], "maps": [{}] * 10}, 2),
+    (
+        {
+            "kind": "kgraph", "rank": 10, "vertices": ["u", "v"],
+            "adjacency": [[[0, 1], [0, 0]]] * 10,
+        },
+        4,
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, count", RANK10_MODELS, ids=["dynsys", "kgraph"])
+def test_rank_10_models_enumerate_and_build_lattices(capsys, tmp_path, doc, count):
+    """The walk keeps one stack frame per direction set, not one Python
+    frame, so 1,024 direction sets fit."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "enumerate", str(path), "--count-only")
+    assert (code, out) == (0, f"{count}\n")
+    code, out, _ = run(capsys, "lattice", str(path))
+    assert code == 0
+    assert json.loads(out)["nodes"] == count
+
+
 def test_random_too_many_vertices_message(capsys):
     code, out, err = run(
         capsys, "random", "--kind", "kgraph", "--rank", "2", "--vertices", "65",

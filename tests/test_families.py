@@ -1,7 +1,9 @@
 """Family checks, enumeration, and the meet/join operations."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -258,6 +260,30 @@ def test_iter_t_families_lazy_cap():
     assert len(first) == 2
     for fam in first:
         assert is_t_family(model, fam).verdict
+
+
+def test_stats_are_current_between_yields():
+    """A caller reading ``stats`` between yields sees the counters so far:
+    ``found`` is the number of families yielded, and ``candidates`` is the
+    least budget that reaches that family.  When the walk ends, both
+    counters equal the recorded golden file's."""
+    golden = Path(__file__).resolve().parent / "golden" / "enumeration_counters.jsonl"
+    recorded = {
+        rec["model"]: rec for rec in map(json.loads, golden.read_text().splitlines())
+    }
+    for name in ("shift2", "absorb2", "loops2", "funnel2"):
+        model = getattr(fixtures, name)()
+        for mode, lower in (("T", None), ("relative", i_family(model))):
+            stats: dict = {}
+            for k, _ in enumerate(iter_t_families(model, lower, stats=stats), 1):
+                assert stats["found"] == k
+                short = iter_t_families(model, lower, budget=stats["candidates"] - 1)
+                with pytest.raises(BudgetExceededError):
+                    list(itertools.islice(short, k))
+            expected = recorded[f"fixture:{name}"][mode]
+            assert stats == {
+                "candidates": expected["candidates"], "found": expected["found"]
+            }
 
 
 def test_canonical_family_is_minimum_of_relative_enumeration():

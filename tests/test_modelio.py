@@ -84,8 +84,9 @@ def test_family_doc_rejections():
             "entry '' must be a list of vertex names",
         ),
         ('{"kind": "dynsys",', "model", "is not valid JSON"),
+        ("[" * 100_000 + "]" * 100_000, "model", "nests too deeply to parse"),
     ],
-    ids=["sets-not-an-object", "entry-not-a-list", "file-not-json"],
+    ids=["sets-not-an-object", "entry-not-a-list", "file-not-json", "file-too-deep"],
 )
 def test_invalid_documents_are_rejected(capsys, fixture_dir, tmp_path, doc, kind, message):
     path = doc_file(tmp_path, doc)
