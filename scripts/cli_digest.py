@@ -98,6 +98,13 @@ def invocations(inputs: Path):
     }))
     yield "corpus-repeated-kinds", ["crosscheck", "--corpus", str(repeated)]
 
+    past_ceiling = inputs / "past_ceiling.json"
+    past_ceiling.write_text(json.dumps({
+        "kinds": ["dynsys"], "exhaustive": True, "rank_min": 1, "rank_max": 20_000,
+        "vertices_min": 1, "vertices_max": 1,
+    }))
+    yield "corpus-exhaustive-past-ceiling", ["crosscheck", "--corpus", str(past_ceiling)]
+
 
 def files_digest(out: Path) -> str:
     h = hashlib.sha256()

@@ -16,9 +16,13 @@ and (iii) of the tuple check are the subset half of the fixed-point
 equation on each cover, the paper's direct route.  So the sweep decides
 both verdicts in one pass per candidate (:meth:`SweepTables.mismatches`):
 a failed subset half on one cover breaks the equation and (ii)/(iii) at
-once, so both verdicts are False and nothing else needs reading.  The
+once, so both verdicts are False and nothing else needs reading.
+Condition (iv) reads the covers too: it is reached only when every subset
+half holds, so the family is monotone and the meet of its entries over the
+strict supersets of ``F`` is the meet over the covers ``F + i``.  The
 per-verdict methods ``t_verdict`` and ``nt_verdict`` are the reference the
-tests pin that pass to.  The verdicts are booleans, so the order of their
+tests pin that pass to; ``nt_verdict`` keeps the definition's
+strict-superset meet.  The verdicts are booleans, so the order of their
 conditions is free; the witness order belongs to
 :func:`giideals.families.is_nt_tuple`.
 
@@ -336,23 +340,31 @@ def iter_corpus_models(spec: CorpusSpec):
     Exhaustive corpora enumerate every pairwise-commuting direction tuple
     within bounds; the implied single-direction count is checked against the
     model ceiling first, since the tuple count is exponential in the rank.
+    The count stops at its first partial sum past the ceiling, and counts
+    each power as at most ``model_ceiling + 1`` (:func:`_capped_power`).
+    That sum is the ``implied_models`` the budget error reports: a number
+    past the ceiling and at most twice it plus one, not the full count.  So
+    a huge ``rank_max`` costs about ``log2(model_ceiling)`` steps.
     """
     if spec.exhaustive:
+        ceiling = spec.model_ceiling
         implied = 0
         for kind in spec.kinds:
             for v in range(spec.vertices_min, spec.vertices_max + 1):
                 singles = (
-                    (spec.max_mult + 1) ** (v * v)
+                    _capped_power(spec.max_mult + 1, v * v, ceiling)
                     if kind == "kgraph"
-                    else (v + 1) ** v
+                    else _capped_power(v + 1, v, ceiling)
                 )
-                for rank in range(spec.rank_min, spec.rank_max + 1):
-                    implied += singles**rank
-        if implied > spec.model_ceiling:
-            raise BudgetExceededError(
-                "exhaustive corpus too large",
-                {"implied_models": implied, "model_ceiling": spec.model_ceiling},
-            )
+                power = _capped_power(singles, spec.rank_min, ceiling)
+                for _ in range(spec.rank_min, spec.rank_max + 1):
+                    implied += power
+                    if implied > ceiling:
+                        raise BudgetExceededError(
+                            "exhaustive corpus too large",
+                            {"implied_models": implied, "model_ceiling": ceiling},
+                        )
+                    power = min(power * singles, ceiling + 1)
         for kind in spec.kinds:
             for rank in range(spec.rank_min, spec.rank_max + 1):
                 for v in range(spec.vertices_min, spec.vertices_max + 1):
@@ -367,6 +379,17 @@ def iter_corpus_models(spec: CorpusSpec):
         v = rng.randint(spec.vertices_min, spec.vertices_max)
         seed = _mix(spec.seed, idx, 17)
         yield random_model(kind, rank, v, seed, spec.max_mult), seed
+
+
+def _capped_power(base, exp, cap):
+    """``min(base ** exp, cap + 1)`` for ``base >= 2``, in at most
+    ``cap.bit_length() + 1`` multiplications."""
+    power = 1
+    for _ in range(exp):
+        power *= base
+        if power > cap:
+            return cap + 1
+    return power
 
 
 def _iter_all_models(kind, rank, v, max_mult):
@@ -417,8 +440,10 @@ class SweepTables:
 
     :meth:`mismatches`, the sweep's kernel, decides both verdicts in one
     pass over the covers: the failed subset half of the equation on a cover
-    decides both, since it fails T and (ii)/(iii) alike.  :meth:`t_verdict`
-    and :meth:`nt_verdict` decide one verdict each; they are the reference
+    decides both, since it fails T and (ii)/(iii) alike.  Its condition (iv)
+    meets over the covers of ``F``, not all strict supersets, so no table
+    here grows as 4^rank.  :meth:`t_verdict` and :meth:`nt_verdict` decide
+    one verdict each, as the definition reads; they are the reference
     implementation the tests pin the kernel to.
     """
 
@@ -434,10 +459,6 @@ class SweepTables:
         self.t_triples = [(f, i - 1, up) for f, i, up in direction_covers(k)]
         self.nonzero_masks = [f for f in canon if f]
         self.proper_masks = [f for f in canon if 0 < f < full_dirs]
-        self.strict_sups = {
-            f: [d for d in range(self.nmasks) if d != f and d & f == f]
-            for f in self.proper_masks
-        }
 
         _, self.jf = division_tables(model)
 
@@ -470,8 +491,9 @@ class SweepTables:
                 return False
         for f in self.proper_masks:
             k0 = self.full
-            for d in self.strict_sups[f]:
-                k0 &= fam[d]
+            for d in submasks((self.nmasks - 1) & ~f):
+                if d:
+                    k0 &= fam[f | d]
             lhs = self.lpi[f][jf[f][h0]] & self.lpi[f][k0] & self.lim[f][fam[f]]
             if lhs & ~fam[f]:
                 return False
@@ -487,15 +509,20 @@ class SweepTables:
         and where ``H_F`` is not inside ``x`` the subset half fails too, so
         both verdicts are False and the candidate is done.  Only a candidate
         that passes every subset half goes on to conditions (i) and (iv).
-        ``t_check(fam)``, when given, supplies ``t`` instead of the tables;
-        it is called once per candidate, in candidate order.
+        Condition (iv) reads the covers ``F + i`` and one ``lpi`` lookup;
+        the comment at that step says why that is exact.  ``t_check(fam)``,
+        when given, supplies ``t`` instead of the tables; it is called once
+        per candidate, in candidate order.
         """
         phis, triples, jf = self.phis, self.t_triples, self.jf
         full = self.full
         cond_i = [(f, jf[f]) for f in self.nonzero_masks]
+        ups = {
+            f: [fi for _, _, fi in covers]
+            for f, covers in itertools.groupby(triples, key=lambda c: c[0])
+        }
         cond_iv = [
-            (f, self.strict_sups[f], jf[f], self.lpi[f], self.lim[f])
-            for f in self.proper_masks
+            (f, ups[f], jf[f], self.lpi[f], self.lim[f]) for f in self.proper_masks
         ]
         found: list[dict] = []
         for fam in candidates:
@@ -517,12 +544,17 @@ class SweepTables:
                         nt = False
                         break
                 else:
-                    for f, sups, jf_row, lpi, lim in cond_iv:
+                    # (iv) meets over the covers F + i, not every strict
+                    # superset: every subset half holds, so the family is
+                    # monotone and the two meets agree; and lpi preserves
+                    # meets (each phi(i, .) preserves intersections), so
+                    # lpi(jf & k0) is lpi(jf) & lpi(k0) in one lookup
+                    for f, covers, jf_row, lpi, lim in cond_iv:
                         k0 = full
-                        for d in sups:
-                            k0 &= fam[d]
+                        for fi in covers:
+                            k0 &= fam[fi]
                         h = fam[f]
-                        if lpi[jf_row[h0]] & lpi[k0] & lim[h] & ~h:
+                        if lpi[jf_row[h0] & k0] & lim[h] & ~h:
                             nt = False
                             break
             if t_check is not None:

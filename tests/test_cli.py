@@ -847,6 +847,31 @@ def test_corpus_with_repeated_kinds_is_invalid_input(capsys, tmp_path):
     assert "kinds repeat" in err
 
 
+@pytest.mark.parametrize("rank_max", [20_000, 10**6])
+def test_exhaustive_corpus_past_the_ceiling_is_a_prompt_budget_exit(tmp_path, rank_max):
+    # the implied model count stops at its first partial sum past the
+    # ceiling: 2 + 4 + ... + 2**17, one-point maps of ranks 1 to 17.  Summing
+    # every rank formed an int too long to print (20,000) or ran for minutes
+    # (10**6); the subprocess timeout is the wall-time bound
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({
+        "kinds": ["dynsys"], "rank_min": 1, "rank_max": rank_max,
+        "vertices_min": 1, "vertices_max": 1, "exhaustive": True,
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "giideals.cli", "crosscheck", "--corpus", str(corpus)],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 3, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    doc = json.loads(line)
+    assert doc == {
+        "error": "budget-exceeded",
+        "stats": {"implied_models": 2**18 - 2, "model_ceiling": 200_000},
+    }
+    assert doc["stats"]["implied_models"] > doc["stats"]["model_ceiling"]
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -81,23 +81,28 @@ def test_sweep_tables_match_public_checkers_sampled(model, data):
         assert_kernel_decides(tables, fam)
 
 
-def test_sweep_tables_match_public_checkers_at_rank_3():
+def test_sweep_tables_match_public_checkers_at_ranks_3_and_4():
     # the NT verdict tests its conditions in its own order; every exit of
-    # is_nt_tuple, including acceptance, must be reached and agree
-    exits = set()
-    for kind in ("kgraph", "dynsys"):
-        for seed in range(3):
-            model = random_model(kind, 3, 3, seed)
-            tables = SweepTables(model)
-            for fam in _biased_candidates(random.Random(seed), 3, 3, 2000):
-                nt = is_nt_tuple(model, fam)
-                exits.add(nt.violated_condition)
-                assert tables.t_verdict(fam) == is_t_family(model, fam).verdict
-                assert tables.nt_verdict(fam) == nt.verdict
-                assert_kernel_decides(tables, fam)
-    assert exits == {
+    # is_nt_tuple, including acceptance, must be reached and agree.  The
+    # kernel meets over the covers of F for condition (iv), the reference
+    # over every strict superset: at rank 4 a one-direction F has 3 covers
+    # but 7 strict supersets, so rank-4 candidates must reach (iv) too
+    exits = {3: set(), 4: set()}
+    for rank, seeds, count in ((3, range(3), 2000), (4, range(2), 1000)):
+        for kind in ("kgraph", "dynsys"):
+            for seed in seeds:
+                model = random_model(kind, rank, 3, seed)
+                tables = SweepTables(model)
+                for fam in _biased_candidates(random.Random(seed), 3, rank, count):
+                    nt = is_nt_tuple(model, fam)
+                    exits[rank].add(nt.violated_condition)
+                    assert tables.t_verdict(fam) == is_t_family(model, fam).verdict
+                    assert tables.nt_verdict(fam) == nt.verdict
+                    assert_kernel_decides(tables, fam)
+    every_exit = {
         "condition_i", "invariance", "partial_order", "nt_condition_iv", None
     }
+    assert exits == {3: every_exit, 4: every_exit}
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +172,25 @@ def test_sweep_stops_at_report_cap():
     assert sweep_model(model, t_check=lambda m, fam: True) == expected[:50]
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda model, row: [model.full] * len(row),                    # (i) always holds
-    lambda model, row: [h & ~(model.full + 1 >> 1) for h in row],  # drops a vertex
-], ids=["jf-full", "jf-drops-a-vertex"])
-def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, corrupt):
+@pytest.mark.parametrize("table, corrupt", [
+    ("jf", lambda model, row: [model.full] * len(row)),                    # (i) always holds
+    ("jf", lambda model, row: [h & ~(model.full + 1 >> 1) for h in row]),  # drops a vertex
+    ("lim", lambda model, row: [model.full] * len(row)),                   # (iv) decides
+], ids=["jf-full", "jf-drops-a-vertex", "lim-full"])
+def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, table, corrupt):
     # without t_check the sweep decides T from its own tables; on corrupted
-    # division rows NT disagrees with T, and the sweep must report exactly
-    # what the two reference methods decide on the same tables
+    # division or eventual-containment rows NT disagrees with T, and the
+    # sweep must report exactly what the two reference methods decide on the
+    # same tables.  lpi is never corrupted: the kernel's one lookup
+    # lpi[jf & k0] equals the reference's lpi[jf] & lpi[k0] only on a true
+    # lpi table
     import giideals.crossval as crossval
 
     class FaultyTables(SweepTables):
         def __init__(self, model):
             super().__init__(model)
-            self.jf = {f: corrupt(model, row) for f, row in self.jf.items()}
+            rows = getattr(self, table)
+            setattr(self, table, {f: corrupt(model, row) for f, row in rows.items()})
 
     monkeypatch.setattr(crossval, "SweepTables", FaultyTables)
     model = random_model("dynsys", 2, 4, seed=2)
