@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -82,6 +83,16 @@ DEFAULT_CANDIDATE_SAMPLES = 20_000
 
 #: Mismatches recorded per model before a sweep stops looking.
 REPORT_CAP = 50
+
+#: Drawn values per chunk of the sampled sweep's candidates, which bounds
+#: its buffers, and the fewest candidate pairs a chunk holds, which
+#: amortises its per-entry big-int steps at high rank (where a pair alone
+#: takes thousands of values).
+_SAMPLER_CHUNK_VALUES = 1 << 13
+_SAMPLER_MIN_PAIRS = 16
+
+#: Bytes with bit 7 set: a plane byte whose word the sampler rejects.
+_REJECTED = bytes(range(128, 256))
 
 #: Enumerated fixed-point families the property suite checks per model.
 FAMILY_CAP = 400
@@ -567,45 +578,103 @@ class SweepTables:
 
 
 def _biased_candidates(rng, n, k, count):
-    """Seeded candidate families: alternately uniform draws and draws forced
-    monotone over the direction-set lattice (a necessary condition for both
-    characterisations, so uniform sampling alone would almost never hit a
-    valid family).
+    """Seeded candidate families: alternately draws forced monotone over the
+    direction-set lattice (a necessary condition for both characterisations,
+    so uniform sampling alone would almost never hit a valid family) and
+    uniform draws.  Returns an iterator of ``count`` tuples.
 
-    Each draw is ``rng.randrange(2**n)`` written out: ``n + 1`` random bits,
-    redrawn while they reach ``2**n``.  That is the stream ``randrange``
-    itself consumes, so sampled sweeps stay replayable from their seed.
+    Every value is one ``rng.randrange(2**n)``, taken in this order: per
+    monotone candidate two draws ``r, r2`` per direction set in canonical
+    order, with ``fam[m]`` the union over the submasks ``s`` of ``m`` of
+    ``r_s & r2_s``; per uniform candidate one draw per direction set.  So
+    sampled sweeps stay replayable from their seed.
+
+    The draws are taken in bulk.  ``randrange(2**n)`` is ``getrandbits(n +
+    1)`` redrawn while it reaches ``2**n``, and for ``n + 1 <= 32`` each
+    ``getrandbits(n + 1)`` is the top ``n + 1`` bits of one 32-bit word of
+    the generator: a word gives the value under its top bit, and is
+    rejected when that bit is set.  ``getrandbits(32 * m)`` is the next
+    ``m`` words, least significant first.  The sweep's tables stop models at
+    16 vertices, which keeps ``n + 1 <= 32``.  Candidates come in chunks of
+    :data:`_SAMPLER_CHUNK_VALUES` values or :data:`_SAMPLER_MIN_PAIRS`
+    pairs, whichever is more; each chunk draws exactly the words its values
+    take, so the generator ends in the same state as
+    after the draws one by one.  An iterator left unfinished has drawn to
+    the end of its current chunk.
     """
-    size = 1 << n
-    bits = n + 1
-    getrandbits = rng.getrandbits
     nmasks = 1 << k
+    stride = 3 * nmasks  # a pair: r, r2 per monotone entry, then uniform ones
     covers = [
         (m, [m & ~(1 << i) for i in range(k) if m >> i & 1])
         for m in canonical_masks(k)
     ]
-    for j in range(count):
+    pairs = max(_SAMPLER_MIN_PAIRS, _SAMPLER_CHUNK_VALUES // stride)
+    pairs = max(1, min(pairs, (count + 1) // 2))
+
+    planes = range((n + 6) // 7)  # 7-bit planes of the n value bits
+    # a chunk's values as unsigned ints: a byte for one plane, else 4 bytes
+    code, width = ("B", 1) if n <= 7 else ("I", 4)
+
+    def lanes(word, size=4):
+        # ``word`` in each ``size``-byte lane of the largest draw
+        lane = word.to_bytes(size, "little")
+        return int.from_bytes(lane * pairs * stride, "little")
+
+    if n > 7:  # planes after the first shift their bits under the reject bit
+        top_bit, below_top = lanes(0x80000000), lanes(0x7F000000)
+    # plane q of the buffer's lanes, moved to its value bits
+    joins = [
+        (8 * width - 1 - q - n, lanes((0x7F << n) >> 7 + 7 * q, width))
+        for q in planes
+    ]
+
+    def draw(total):
+        # the top byte of a word is its reject bit over the value's top 7
+        # bits; plane q shifts the next 7 bits under the same reject bit, so
+        # one translate per plane drops the rejected words and the planes
+        # stay aligned
+        kept = [bytearray() for _ in planes]
+        while missing := total - len(kept[0]):
+            x = rng.getrandbits(32 * missing)
+            for q, plane in enumerate(kept):
+                z = x << 7 * q & below_top | x & top_bit if q else x
+                plane += z.to_bytes(4 * missing, "little")[3::4].translate(
+                    None, _REJECTED
+                )
+        buf = bytearray(width * total)
+        for q, plane in enumerate(kept):
+            buf[width - 1 - q::width] = plane
+        u = int.from_bytes(buf, "little")
+        v = 0
+        for shift, mask in joins:
+            v |= u >> shift & mask
+        values = memoryview(v.to_bytes(width * total, sys.byteorder)).cast(code)
+        # big-endian bytes of v list its lanes last to first
+        return values if sys.byteorder == "little" else values[::-1]
+
+    def chunk(size):
+        # ``size`` candidates, monotone first: each strided slice is one
+        # entry's draws across the chunk's pairs, and the lane-wise big-int
+        # AND and OR build the monotone entries for all pairs at once (byte
+        # order is immaterial to them)
+        monotone = (size + 1) // 2
+        values = draw(size // 2 * stride + size % 2 * 2 * nmasks)
         fam = [0] * nmasks
-        if j & 1:
-            for m in range(nmasks):
-                r = getrandbits(bits)
-                while r >= size:
-                    r = getrandbits(bits)
-                fam[m] = r
-            yield tuple(fam)
-            continue
-        for m, lower in covers:
-            below = 0
+        for t, (m, lower) in enumerate(covers):
+            r = int.from_bytes(values[2 * t::stride], "little")
+            r &= int.from_bytes(values[2 * t + 1::stride], "little")
             for low in lower:
-                below |= fam[low]
-            r = getrandbits(bits)
-            while r >= size:
-                r = getrandbits(bits)
-            r2 = getrandbits(bits)
-            while r2 >= size:
-                r2 = getrandbits(bits)
-            fam[m] = below | (r & r2)
-        yield tuple(fam)
+                r |= fam[low]
+            fam[m] = r
+        raw = (f.to_bytes(width * monotone, "little") for f in fam)
+        out = [None] * size
+        out[0::2] = zip(*(memoryview(b).cast(code) for b in raw))
+        out[1::2] = zip(*(values[2 * nmasks + m::stride] for m in range(nmasks)))
+        return out
+
+    step = 2 * pairs
+    sizes = [min(step, count - start) for start in range(0, count, step)]
+    return itertools.chain.from_iterable(map(chunk, sizes))
 
 
 def sweep_model(

@@ -155,6 +155,8 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{p} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past the int-string digit limit
+        raise InvalidInputError(f"{p} has a number too long to read: {exc}") from None
     except RecursionError:
         raise InvalidInputError(f"{p} nests too deeply to parse") from None
 

@@ -9,6 +9,7 @@ import pytest
 
 from giideals.cli import main
 from giideals.cli import run as cli_run
+from helpers import cli_rejects
 
 
 def run(capsys, *argv):
@@ -870,6 +871,24 @@ def test_exhaustive_corpus_past_the_ceiling_is_a_prompt_budget_exit(tmp_path, ra
         "stats": {"implied_models": 2**18 - 2, "model_ceiling": 200_000},
     }
     assert doc["stats"]["implied_models"] > doc["stats"]["model_ceiling"]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("validate", '{"kind":"dynsys","rank":%s,"points":["a"],"maps":[{}]}'),
+        ("crosscheck", '{"kinds":["dynsys"],"model_ceiling":%s,"exhaustive":true}'),
+    ],
+    ids=["model-rank", "corpus-model-ceiling"],
+)
+def test_integers_past_the_digit_limit_are_invalid_input(capsys, tmp_path, command, text):
+    # valid JSON, but Python refuses to parse an integer of more than 4,300
+    # digits with a ValueError that is not a JSONDecodeError
+    path = tmp_path / "doc.json"
+    path.write_text(text % ("1" * 5000))
+    source = [str(path)] if command == "validate" else ["--corpus", str(path)]
+    err = cli_rejects(capsys, command, *source)
+    assert "too long" in err
 
 
 @pytest.mark.parametrize(

@@ -24,9 +24,13 @@ from giideals import (
     theorem_a_sweep,
 )
 from giideals.crossval import (
+    DEFAULT_CANDIDATE_CEILING,
+    DEFAULT_CANDIDATE_SAMPLES,
     EXHAUSTIVE_LEGS,
     REPORT_CAP,
     SweepTables,
+    _SAMPLER_CHUNK_VALUES,
+    _SAMPLER_MIN_PAIRS,
     _biased_candidates,
     builtin_random_models,
     sweep_model,
@@ -252,13 +256,54 @@ def _biased_candidates_by_randrange(rng, n, k, count):
 
 @pytest.mark.parametrize("seed", [0, 9, 20240501])
 def test_sampler_draws_the_randrange_stream(seed):
-    # replayable reports depend on the sampled stream staying the same
-    for n in range(1, 6):
-        for k in range(1, 4):
-            got_rng, ref_rng = random.Random(seed), random.Random(seed)
-            got = list(_biased_candidates(got_rng, n, k, 200))
-            assert got == list(_biased_candidates_by_randrange(ref_rng, n, k, 200))
-            assert got_rng.getstate() == ref_rng.getstate()
+    # replayable reports depend on the sampled stream staying the same: every
+    # vertex count up to the table limit (one to three 7-bit planes), ranks
+    # 1-4, where a chunk is _SAMPLER_CHUNK_VALUES values, and rank 8, where
+    # it is _SAMPLER_MIN_PAIRS pairs; counts up to one past a chunk
+    for n in range(1, 17):
+        for k in (1, 2, 3, 4, 8):
+            pairs = max(_SAMPLER_MIN_PAIRS, _SAMPLER_CHUNK_VALUES // (3 << k))
+            chunk = 2 * pairs
+            for count in (0, 1, 2, 3, 2 * n + 1, chunk + 1):
+                got_rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = list(_biased_candidates(got_rng, n, k, count))
+                assert got == list(_biased_candidates_by_randrange(ref_rng, n, k, count))
+                assert got_rng.getstate() == ref_rng.getstate()
+            # a sampler left unfinished yields a prefix of its full stream;
+            # got holds the first chunk + 1 candidates
+            longer = _biased_candidates(random.Random(seed), n, k, 3 * chunk)
+            assert list(itertools.islice(longer, chunk + 1)) == got
+
+
+def test_sampled_sweeps_check_the_randrange_stream():
+    # the sweep checks exactly the reference sampler's candidates, in order:
+    # with T forced either way its records are the candidates whose NT
+    # verdict differs, up to the cap.  The sampled models of the random leg
+    # have 4 or 5 vertices (one plane); the 8-vertex model takes two
+    models = [
+        (model, seed) for model, seed in builtin_random_models(40)
+        if (1 << model.vertex_count) ** (1 << model.rank) > DEFAULT_CANDIDATE_CEILING
+    ]
+    assert len(models) == 8
+    models.append((random_model("dynsys", 2, 8, seed=3), 3))
+    lengths = set()
+    for model, seed in models:
+        tables = SweepTables(model)
+        for t in (True, False):
+            stats = {}
+            got = sweep_model(model, rng_seed=seed, t_check=lambda m, f: t, stats=stats)
+            assert stats == {"mode": "sampled", "candidates": DEFAULT_CANDIDATE_SAMPLES}
+            candidates = _biased_candidates_by_randrange(
+                random.Random(seed), model.vertex_count, model.rank,
+                DEFAULT_CANDIDATE_SAMPLES,
+            )
+            records = (
+                {"family": fam, "t": t, "nt": nt}
+                for fam in candidates if (nt := tables.nt_verdict(fam)) != t
+            )
+            assert got == list(itertools.islice(records, REPORT_CAP))
+            lengths.add(len(got))
+    assert REPORT_CAP in lengths and len(lengths) > 1
 
 
 def test_models_beyond_the_table_limit_are_a_budget_exit():
