@@ -44,7 +44,7 @@ _PUBLIC = {
         "random_model",
         "theorem_a_sweep",
     ),
-    "dynsys": ("PartialMapSystem", "load_dynsys"),
+    "dynsys": ("PartialMapSystem",),
     "families": (
         "CheckReport",
         "EnumerationResult",
@@ -58,7 +58,7 @@ _PUBLIC = {
         "join",
         "meet",
     ),
-    "kgraph": ("KGraphSkeleton", "load_kgraph"),
+    "kgraph": ("KGraphSkeleton",),
     "lattice": ("LatticeGraph", "build_lattice", "export_dot", "export_json"),
     "modelio": (
         "family_from_doc",

@@ -31,6 +31,7 @@ from .core import (
     j_family,
 )
 from .modelio import (
+    MODEL_KINDS,
     canonical_json,
     family_from_path,
     family_to_doc,
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("random", help="generate a random model document")
-    p.add_argument("--kind", choices=["kgraph", "dynsys"], required=True)
+    p.add_argument("--kind", choices=list(MODEL_KINDS), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -134,7 +135,13 @@ def main(argv=None) -> int:
         _note(f"error: {exc}")
         return EXIT_INVALID
     except BudgetExceededError as exc:
-        _emit({"error": "budget-exceeded", "stats": exc.stats})
+        # a stat may pass the int-string digit limit read_json keeps for input
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            _emit({"error": "budget-exceeded", "stats": exc.stats})
+        finally:
+            sys.set_int_max_str_digits(limit)
         _note(f"error: {exc}")
         return EXIT_BUDGET
     except InternalConsistencyError as exc:

@@ -75,7 +75,7 @@ from .families import (
     iter_t_families,
 )
 from .kgraph import KGraphSkeleton, _first_clash as _matrix_clash, _matmul
-from .modelio import family_to_doc, fingerprint
+from .modelio import MODEL_KINDS, family_to_doc, fingerprint
 
 #: Candidate-space size above which sweeps sample instead of exhausting.
 DEFAULT_CANDIDATE_CEILING = 1 << 24
@@ -103,7 +103,7 @@ class CorpusSpec:
     """Description of a model corpus, either exhaustive within bounds or a
     seeded random sample."""
 
-    kinds: tuple[str, ...] = ("kgraph", "dynsys")
+    kinds: tuple[str, ...] = tuple(MODEL_KINDS)
     rank_min: int = 1
     rank_max: int = 2
     vertices_min: int = 1
@@ -118,7 +118,7 @@ class CorpusSpec:
 
     def __post_init__(self):
         for kind in self.kinds:
-            if kind not in ("kgraph", "dynsys"):
+            if kind not in MODEL_KINDS:
                 raise InvalidInputError(f"unknown corpus kind {kind!r}")
         if not self.kinds:
             raise InvalidInputError("corpus needs at least one kind")
@@ -229,7 +229,7 @@ def random_model(
     guaranteed.  ``rejection`` draws the directions independently and retries
     until they commute or the retry budget runs out.
     """
-    if kind not in ("kgraph", "dynsys"):
+    if kind not in MODEL_KINDS:
         raise InvalidInputError(f"unknown model kind {kind!r}")
     if strategy not in ("derived", "rejection"):
         raise InvalidInputError(f"unknown strategy {strategy!r}")

@@ -8,6 +8,8 @@ The semigroup property over multi-indices is enforced by generator
 commutation alone, since the free abelian monoid is determined by its
 generators.  The model's ``deps`` are the preimages: ``deps[i - 1][v]`` is
 the set of points that ``T_i`` sends to ``v``.
+:func:`giideals.modelio.load_model` reads documents; the constructor checks
+each map's keys and targets, and that the maps commute.
 
 Commutation is checked in the strong pointwise sense: for every pair of
 directions and every point, the two composites must be both undefined or
@@ -18,7 +20,7 @@ raises from it, and the exhaustive corpus enumeration in
 
 from __future__ import annotations
 
-from .core import DirectionModel, InvalidInputError, _is_int
+from .core import DirectionModel, InvalidInputError
 
 
 class PartialMapSystem(DirectionModel):
@@ -106,20 +108,3 @@ def _check_commuting(images, names) -> None:
                     f"{v}: composites give {ij} vs {ji}"
                 )
 
-
-def load_dynsys(doc) -> PartialMapSystem:
-    """Build and validate a system from its JSON document."""
-    if not isinstance(doc, dict) or doc.get("kind") != "dynsys":
-        raise InvalidInputError('expected a document with "kind": "dynsys"')
-    for key in ("rank", "points", "maps"):
-        if key not in doc:
-            raise InvalidInputError(f"dynsys document missing {key!r}")
-    points = doc["points"]
-    maps = doc["maps"]
-    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
-        raise InvalidInputError('"points" must be a list of names')
-    if not _is_int(doc["rank"]):
-        raise InvalidInputError('"rank" must be an integer')
-    if not isinstance(maps, list) or len(maps) != doc["rank"]:
-        raise InvalidInputError('"maps" must list one partial map per direction')
-    return PartialMapSystem(points, maps)

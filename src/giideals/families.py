@@ -293,8 +293,9 @@ def iter_t_families(
     subsets above ``lower[F]``, and each that satisfies every equation at F
     pushes the next direction set's frame.  The full set's frame tries
     every vertex subset, skipping those not above ``lower``.  At the empty
-    set a kept candidate completes a family, which is verified against
-    every equation again and yielded.
+    set a kept candidate completes a family, which is yielded: each
+    equation was checked in its direction set's frame, against upper
+    entries that stay fixed while that frame is live.
 
     ``lower`` restricts the search to families containing it (``None``
     means the all-empty family).  ``budget`` is a positive int bounding the
@@ -305,10 +306,9 @@ def iter_t_families(
     """
     phi = _phi_lookup(model)
     nmasks = 1 << model.rank
-    equations = [(f, phi[i - 1], up) for f, i, up in direction_covers(model.rank)]
     covers_of: list[list] = [[] for _ in range(nmasks)]
-    for f, p, up in equations:
-        covers_of[f].append((p, up))
+    for f, i, up in direction_covers(model.rank):
+        covers_of[f].append((phi[i - 1], up))
     lower = (0,) * nmasks if lower is None else check_family(model, lower)
     stats = {} if stats is None else stats
     candidates = stats.setdefault("candidates", 0)
@@ -348,13 +348,9 @@ def iter_t_families(
                     untried = () if lb & ~g else submasks(g & ~lb)
                     stack.append((f, lb, lb, untried, uppers))
                     break
-                for e, p, up in equations:
-                    if p[chosen[e]] & chosen[up] != chosen[e]:
-                        break
-                else:
-                    found += 1
-                    stats["candidates"], stats["found"] = candidates, found
-                    yield tuple(chosen)
+                found += 1
+                stats["candidates"], stats["found"] = candidates, found
+                yield tuple(chosen)
         else:
             stack.pop()
     stats["candidates"], stats["found"] = candidates, found

@@ -16,6 +16,8 @@ coloured-graph factorisation; validation flags these as skeleton-level
 models.
 
 Duplicate vertex names are rejected (matrices are indexed positionally).
+:func:`giideals.modelio.load_model` reads documents; the constructor checks
+each matrix's shape and entries, and that the matrices commute.
 
 This module owns the commutation test for matrices, ``_first_clash``:
 validation and the exhaustive corpus enumeration in
@@ -107,26 +109,3 @@ def _check_commuting(matrices, names) -> None:
                     f"from {names[v]!r} to {names[w]!r} are {ij} vs {ji}"
                 )
 
-
-def load_kgraph(doc) -> KGraphSkeleton:
-    """Build and validate a skeleton from its JSON document."""
-    if not isinstance(doc, dict) or doc.get("kind") != "kgraph":
-        raise InvalidInputError('expected a document with "kind": "kgraph"')
-    for key in ("rank", "vertices", "adjacency"):
-        if key not in doc:
-            raise InvalidInputError(f"kgraph document missing {key!r}")
-    vertices = doc["vertices"]
-    adjacency = doc["adjacency"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise InvalidInputError('"vertices" must be a list of names')
-    if not _is_int(doc["rank"]):
-        raise InvalidInputError('"rank" must be an integer')
-    if not isinstance(adjacency, list) or len(adjacency) != doc["rank"]:
-        raise InvalidInputError('"adjacency" must list one matrix per direction')
-    try:
-        model = KGraphSkeleton(vertices, adjacency)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"malformed adjacency data: {exc}") from None
-    return model

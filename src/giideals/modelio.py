@@ -1,4 +1,4 @@
-"""JSON documents: model dispatch, family serialization, fingerprints.
+"""JSON documents: model loading, family serialization, fingerprints.
 
 Three document schemas cross the package boundary (see the README for
 examples):
@@ -10,6 +10,9 @@ examples):
 * family: ``{"rank": k, "sets": {"": [...], "1": [...], "1,2": [...]}}`` with
   one key per direction set (comma-joined sorted elements, "" for the empty
   set) and vertex names as strings.
+
+Both model kinds share one envelope, which :func:`load_model`, the one
+reader of model documents, checks from :data:`MODEL_KINDS`.
 """
 
 from __future__ import annotations
@@ -28,8 +31,15 @@ from .core import (
     label_to_mask,
     mask_label,
 )
-from .dynsys import load_dynsys
-from .kgraph import load_kgraph
+from .dynsys import PartialMapSystem
+from .kgraph import KGraphSkeleton
+
+#: The one list of model kinds: class, names key, per-direction key, and
+#: what one direction's entry is called in messages.
+MODEL_KINDS = {
+    "kgraph": (KGraphSkeleton, "vertices", "adjacency", "matrix"),
+    "dynsys": (PartialMapSystem, "points", "maps", "partial map"),
+}
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -52,15 +62,32 @@ def _digest(text: str) -> str:
 
 
 def load_model(doc) -> DirectionModel:
-    """Dispatch a model document on its "kind" field."""
+    """Check a model document's envelope and build the model; the
+    constructor checks each direction's entry, and a ``TypeError`` or
+    ``ValueError`` it meets on malformed data is invalid input too."""
     if not isinstance(doc, dict):
         raise InvalidInputError("model document must be a JSON object")
     kind = doc.get("kind")
-    if kind == "kgraph":
-        return load_kgraph(doc)
-    if kind == "dynsys":
-        return load_dynsys(doc)
-    raise InvalidInputError(f'unknown model kind {kind!r} (want "kgraph" or "dynsys")')
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        want = " or ".join(map(json.dumps, MODEL_KINDS))
+        raise InvalidInputError(f"unknown model kind {kind!r} (want {want})")
+    cls, names_key, data_key, noun = MODEL_KINDS[kind]
+    for key in ("rank", names_key, data_key):
+        if key not in doc:
+            raise InvalidInputError(f"{kind} document missing {key!r}")
+    names, data = doc[names_key], doc[data_key]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise InvalidInputError(f'"{names_key}" must be a list of names')
+    if not _is_int(doc["rank"]):
+        raise InvalidInputError('"rank" must be an integer')
+    if not isinstance(data, list) or len(data) != doc["rank"]:
+        raise InvalidInputError(f'"{data_key}" must list one {noun} per direction')
+    try:
+        return cls(names, data)
+    except InvalidInputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed {data_key} data: {exc}") from None
 
 
 def load_model_path(path) -> DirectionModel:

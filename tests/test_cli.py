@@ -873,6 +873,26 @@ def test_exhaustive_corpus_past_the_ceiling_is_a_prompt_budget_exit(tmp_path, ra
     assert doc["stats"]["implied_models"] > doc["stats"]["model_ceiling"]
 
 
+def test_budget_stats_past_the_digit_limit_still_print(capsys, tmp_path):
+    # every number in the config reads under the int-string digit limit,
+    # but the implied model count, max_mult + 1 = 10**4300, prints past it
+    nines = "9" * 4300
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(
+        f'{{"kinds":["kgraph"],"max_mult":{nines},"model_ceiling":{nines},'
+        '"exhaustive":true,"rank_min":1,"rank_max":1,'
+        '"vertices_min":1,"vertices_max":1}'
+    )
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "crosscheck", "--corpus", str(corpus))
+    assert code == 3
+    assert out == (
+        '{"error":"budget-exceeded","stats":{"implied_models":1' + "0" * 4300
+        + f',"model_ceiling":{nines}}}}}\n'
+    )
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -894,17 +914,12 @@ def test_integers_past_the_digit_limit_are_invalid_input(capsys, tmp_path, comma
 @pytest.mark.parametrize(
     "doc",
     [
-        {"kind": "kgraph", "rank": True, "vertices": ["a"], "adjacency": [[[1]]]},
         {"kind": "kgraph", "rank": 1, "vertices": ["a"], "adjacency": [[[1.5]]]},
         {"kind": "kgraph", "rank": 1, "vertices": ["a"], "adjacency": [[["1"]]]},
         {"kind": "kgraph", "rank": 1, "vertices": ["a"], "adjacency": [[[True]]]},
-        {"kind": "dynsys", "rank": True, "points": ["p"], "maps": [{}]},
         {"rank": True, "sets": {"": [], "1": []}},
     ],
-    ids=[
-        "kgraph-rank-true", "entry-float", "entry-string", "entry-true",
-        "dynsys-rank-true", "family-rank-true",
-    ],
+    ids=["entry-float", "entry-string", "entry-true", "family-rank-true"],
 )
 def test_non_integer_numbers_are_invalid_input(capsys, fixture_dir, tmp_path, doc):
     path = tmp_path / "doc.json"

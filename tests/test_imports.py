@@ -127,9 +127,9 @@ PUBLIC_NAMES = [
     "is_invariant", "is_nt_tuple", "is_partially_ordered", "is_relative_o_family",
     "is_t_family", "iter_corpus_models", "j_family", "jf_of", "join",
     "katsura_oracle", "ker_phi", "label_to_mask", "largest_perp_invariant",
-    "lim_set", "load_dynsys", "load_kgraph", "load_model", "load_model_path",
-    "mask_label", "mask_of", "meet", "model_fingerprint", "phi_n",
-    "property_suite", "random_model", "theorem_a_sweep", "xf_inverse",
+    "lim_set", "load_model", "load_model_path", "mask_label", "mask_of", "meet",
+    "model_fingerprint", "phi_n", "property_suite", "random_model",
+    "theorem_a_sweep", "xf_inverse",
 ]
 
 
@@ -138,7 +138,7 @@ def test_the_lazy_root_keeps_the_public_surface():
 
     import giideals
 
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 49
     assert sorted(giideals.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(giideals))
     for name in PUBLIC_NAMES:

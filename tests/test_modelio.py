@@ -1,6 +1,7 @@
-"""Document I/O: dispatch, family round trips, fingerprints."""
+"""Document I/O: model loading, family round trips, fingerprints."""
 
 import json
+import re
 
 import pytest
 
@@ -27,8 +28,52 @@ def test_load_model_dispatch():
 def test_load_model_rejects_unknown_kind():
     with pytest.raises(InvalidInputError):
         load_model({"kind": "widget"})
+    with pytest.raises(InvalidInputError, match="unknown model kind"):
+        load_model({"kind": ["kgraph"]})
     with pytest.raises(InvalidInputError):
         load_model(["not", "an", "object"])
+
+
+#: per kind: its names key, its per-direction key, one valid direction entry
+#: over the single name "a", and the message for a malformed entry
+KIND_KEYS = {
+    "kgraph": ("vertices", "adjacency", [[1]], "malformed adjacency data"),
+    "dynsys": ("points", "maps", {}, "map 1 must be a point -> point mapping"),
+}
+
+#: case -> (key, its new value or None to delete it, message); "names" and
+#: "data" stand for the kind's keys
+ENVELOPE_CASES = {
+    "rank-true": ("rank", True, '"rank" must be an integer'),
+    "rank-not-entries": ("rank", 2, '"{data}" must list one'),
+    "names-not-a-list": ("names", "a", '"{names}" must be a list of names'),
+    "names-not-strings": ("names", ["a", 1], '"{names}" must be a list of names'),
+    "missing-key": ("data", None, "{kind} document missing '{data}'"),
+    "data-not-a-list": ("data", {"1": None}, '"{data}" must list one'),
+    "data-malformed": ("data", [5], "{malformed}"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [(kind, case) for kind in KIND_KEYS for case in ENVELOPE_CASES],
+    ids=[f"{kind}-{case}" for kind in KIND_KEYS for case in ENVELOPE_CASES],
+)
+def test_model_envelope_is_checked_for_both_kinds(capsys, tmp_path, kind, case):
+    names_key, data_key, entry, malformed = KIND_KEYS[kind]
+    doc = {"kind": kind, "rank": 1, names_key: ["a"], data_key: [entry]}
+    key, value, message = ENVELOPE_CASES[case]
+    key = {"names": names_key, "data": data_key}.get(key, key)
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    message = message.format(
+        kind=kind, names=names_key, data=data_key, malformed=malformed
+    )
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        load_model(doc)
+    assert message in cli_rejects(capsys, "validate", doc_file(tmp_path, doc))
 
 
 def test_family_roundtrip():
