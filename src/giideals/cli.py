@@ -116,7 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-mult", type=int, default=2)
+    p.add_argument(
+        "--max-mult", type=int, default=2,
+        help="kgraph: largest entry of a drawn matrix, which derived models may "
+        "exceed; dynsys: seeds the generator only",
+    )
     p.add_argument("--strategy", choices=["derived", "rejection"], default="derived")
     p.add_argument("--retries", type=_positive_int, default=2000)
 
@@ -170,12 +174,12 @@ def _cmd_validate(args) -> int:
     model = load_model_path(args.model)
     doc = {
         "valid": True,
-        "kind": model.to_doc()["kind"],
+        "kind": model.kind,
         "rank": model.rank,
         "vertices": len(model.vertex_names),
         "fingerprint": model_fingerprint(model),
     }
-    if getattr(model, "note", None):
+    if model.note:
         doc["note"] = model.note
     _emit(doc)
     return EXIT_OK

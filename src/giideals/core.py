@@ -24,7 +24,6 @@ safe to share across concurrent workers.
 
 from __future__ import annotations
 
-import abc
 import functools
 from typing import Iterator
 
@@ -139,10 +138,11 @@ def submasks(mask: SubsetMask) -> Iterator[SubsetMask]:
 # the model interface
 
 
-class DirectionModel(abc.ABC):
+class DirectionModel:
     """Finite vertex set with ``rank`` commuting inverse-image operators.
 
-    Subclasses validate their input, set ``deps`` and provide ``to_doc``.
+    Subclasses validate their input, set ``deps``, name their document format
+    in the class attributes below and list its per-direction ``_entries``.
     ``deps[i - 1][v]`` is the vertex set that ``v``'s membership in
     ``phi(i, .)`` depends on, so that ``phi(i, H) = {v : deps[i - 1][v] <= H}``.
     Every such operator is monotone and preserves intersections; the
@@ -160,6 +160,11 @@ class DirectionModel(abc.ABC):
     full: VertexSet  # the whole vertex set
     full_directions: SubsetMask  # all ``rank`` directions
     deps: tuple[tuple[VertexSet, ...], ...]
+    kind: str  # the document's "kind"
+    names_key: str  # the key listing the vertex names
+    entries_key: str  # the key listing one entry per direction
+    entry_noun: str  # what one direction's entry is called in messages
+    note: str | None = None  # a caveat ``validate`` reports
 
     def _init_base(self, rank: int, vertex_names) -> None:
         names = tuple(str(n) for n in vertex_names)
@@ -240,9 +245,14 @@ class DirectionModel(abc.ABC):
             self._phi_tables[i] = table
         return table
 
-    @abc.abstractmethod
     def to_doc(self) -> dict:
-        """JSON-ready document for this model."""
+        """The model document :func:`giideals.modelio.load_model` reads."""
+        return {
+            "kind": self.kind,
+            "rank": self.rank,
+            self.names_key: list(self.vertex_names),
+            self.entries_key: self._entries(),
+        }
 
 
 def _check_subset(model: DirectionModel, subset: int) -> None:

@@ -66,7 +66,7 @@ from .core import (
     jf_of,
     submasks,
 )
-from .dynsys import PartialMapSystem, _first_clash as _map_clash
+from .dynsys import PartialMapSystem, _first_clash as _map_clash, _map_entry
 from .families import (
     EnumerationResult,
     enumeration_result,
@@ -227,7 +227,9 @@ def random_model(
     ``derived`` draws one random seed structure and takes polynomials of a
     matrix (kgraph) or powers of a partial map (dynsys), so commutation is
     guaranteed.  ``rejection`` draws the directions independently and retries
-    until they commute or the retry budget runs out.
+    until they commute or the retry budget runs out.  ``max_mult`` bounds the
+    entries of drawn matrices, not of the derived ``c0 I + c1 B + c2 B^2``
+    in a drawn ``B``; for dynsys it only seeds the generator.
     """
     if kind not in MODEL_KINDS:
         raise InvalidInputError(f"unknown model kind {kind!r}")
@@ -341,10 +343,6 @@ def _all_partial_maps(n):
     return itertools.product((None, *range(n)), repeat=n)
 
 
-def _map_tuple_to_dict(names, img):
-    return {names[w]: names[t] for w, t in enumerate(img) if t is not None}
-
-
 def iter_corpus_models(spec: CorpusSpec):
     """Yield ``(model, seed_or_none)`` pairs described by the spec.
 
@@ -357,8 +355,8 @@ def iter_corpus_models(spec: CorpusSpec):
     past the ceiling and at most twice it plus one, not the full count.  So
     a huge ``rank_max`` costs about ``log2(model_ceiling)`` steps.
     """
+    ceiling = spec.model_ceiling
     if spec.exhaustive:
-        ceiling = spec.model_ceiling
         implied = 0
         for kind in spec.kinds:
             for v in range(spec.vertices_min, spec.vertices_max + 1):
@@ -383,6 +381,11 @@ def iter_corpus_models(spec: CorpusSpec):
                         (m, None) for m in _iter_all_models(kind, rank, v, spec.max_mult)
                     )
         return
+    if spec.sample_count > ceiling:
+        raise BudgetExceededError(
+            "sampled corpus too large",
+            {"implied_models": spec.sample_count, "model_ceiling": ceiling},
+        )
     for idx in range(spec.sample_count):
         rng = random.Random(_mix(spec.seed, idx, 3))
         kind = sorted(spec.kinds)[rng.randrange(len(spec.kinds))]
@@ -413,7 +416,7 @@ def _iter_all_models(kind, rank, v, max_mult):
         singles = list(_all_partial_maps(v))
         clash = _map_clash
         build = lambda chosen: PartialMapSystem(  # noqa: E731
-            names, [_map_tuple_to_dict(names, img) for img in chosen]
+            names, [_map_entry(names, img) for img in chosen]
         )
 
     def rec(chosen):

@@ -7,9 +7,9 @@ composition on its domain and zero elsewhere, which is the general form of a
 The semigroup property over multi-indices is enforced by generator
 commutation alone, since the free abelian monoid is determined by its
 generators.  The model's ``deps`` are the preimages: ``deps[i - 1][v]`` is
-the set of points that ``T_i`` sends to ``v``.
-:func:`giideals.modelio.load_model` reads documents; the constructor checks
-each map's keys and targets, and that the maps commute.
+the set of points that ``T_i`` sends to ``v``.  The document keys are
+``points`` and ``maps``; the constructor checks each map's keys and
+targets, and that the maps commute.
 
 Commutation is checked in the strong pointwise sense: for every pair of
 directions and every point, the two composites must be both undefined or
@@ -29,6 +29,8 @@ class PartialMapSystem(DirectionModel):
     ``maps`` is one mapping per direction, sending a point name to its image
     name; absent or ``None`` entries mean the map is undefined there.
     """
+
+    kind, names_key, entries_key, entry_noun = "dynsys", "points", "maps", "partial map"
 
     def __init__(self, points, maps):
         maps = tuple(maps)
@@ -62,24 +64,14 @@ class PartialMapSystem(DirectionModel):
             )
             for img in self.images
         )
-        self.note = None
 
-    def to_doc(self) -> dict:
-        maps = []
-        for img in self.images:
-            maps.append(
-                {
-                    self.vertex_names[w]: self.vertex_names[img[w]]
-                    for w in range(self.vertex_count)
-                    if img[w] is not None
-                }
-            )
-        return {
-            "kind": "dynsys",
-            "rank": self.rank,
-            "points": list(self.vertex_names),
-            "maps": maps,
-        }
+    def _entries(self) -> list:
+        return [_map_entry(self.vertex_names, img) for img in self.images]
+
+
+def _map_entry(names, img):
+    """The document entry of an image tuple: point name to image name."""
+    return {names[w]: names[t] for w, t in enumerate(img) if t is not None}
 
 
 def _first_clash(f, g):

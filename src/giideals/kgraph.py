@@ -16,8 +16,8 @@ coloured-graph factorisation; validation flags these as skeleton-level
 models.
 
 Duplicate vertex names are rejected (matrices are indexed positionally).
-:func:`giideals.modelio.load_model` reads documents; the constructor checks
-each matrix's shape and entries, and that the matrices commute.
+The document keys are ``vertices`` and ``adjacency``; the constructor
+checks each matrix's shape and entries, and that the matrices commute.
 
 This module owns the commutation test for matrices, ``_first_clash``:
 validation and the exhaustive corpus enumeration in
@@ -34,6 +34,8 @@ SKELETON_NOTE = "skeleton-level model"
 
 class KGraphSkeleton(DirectionModel):
     """Commuting adjacency matrices over a finite vertex set."""
+
+    kind, names_key, entries_key, entry_noun = "kgraph", "vertices", "adjacency", "matrix"
 
     def __init__(self, vertices, adjacency):
         matrices = tuple(tuple(tuple(row) for row in mat) for mat in adjacency)
@@ -65,13 +67,8 @@ class KGraphSkeleton(DirectionModel):
         )
         self.note = SKELETON_NOTE if self.rank >= 3 else None
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": "kgraph",
-            "rank": self.rank,
-            "vertices": list(self.vertex_names),
-            "adjacency": [[list(row) for row in mat] for mat in self.adjacency],
-        }
+    def _entries(self) -> list:
+        return [[list(row) for row in mat] for mat in self.adjacency]
 
 
 def _matmul(a, b):

@@ -1,18 +1,16 @@
 """JSON documents: model loading, family serialization, fingerprints.
 
-Three document schemas cross the package boundary (see the README for
+Two document formats cross the package boundary (see the README for
 examples):
 
-* kgraph model: ``{"kind": "kgraph", "rank": k, "vertices": [...],
-  "adjacency": [...]}``;
-* dynsys model: ``{"kind": "dynsys", "rank": d, "points": [...],
-  "maps": [...]}``;
-* family: ``{"rank": k, "sets": {"": [...], "1": [...], "1,2": [...]}}`` with
-  one key per direction set (comma-joined sorted elements, "" for the empty
-  set) and vertex names as strings.
-
-Both model kinds share one envelope, which :func:`load_model`, the one
-reader of model documents, checks from :data:`MODEL_KINDS`.
+* model: ``{"kind": ..., "rank": k, <names key>: [...], <entries key>:
+  [...]}``, one entry per direction.  Each backend class names its kind and
+  keys (kgraph: ``vertices``, ``adjacency``; dynsys: ``points``, ``maps``);
+  :data:`MODEL_KINDS` maps kinds to classes; ``DirectionModel.to_doc``
+  writes and :func:`load_model` reads from the same class attributes;
+* family: ``{"rank": k, "sets": {"": [...], "1": [...], "1,2": [...]}}``, one
+  key per direction set (its :func:`~giideals.core.mask_label`, both ways)
+  and vertex names as strings.
 """
 
 from __future__ import annotations
@@ -28,18 +26,14 @@ from .core import (
     InvalidInputError,
     canonical_masks,
     check_family,
-    label_to_mask,
     mask_label,
 )
 from .dynsys import PartialMapSystem
 from .kgraph import KGraphSkeleton
 
-#: The one list of model kinds: class, names key, per-direction key, and
-#: what one direction's entry is called in messages.
-MODEL_KINDS = {
-    "kgraph": (KGraphSkeleton, "vertices", "adjacency", "matrix"),
-    "dynsys": (PartialMapSystem, "points", "maps", "partial map"),
-}
+#: The one table of model kinds, each mapped to its class; the class names
+#: its document keys.
+MODEL_KINDS = {cls.kind: cls for cls in (KGraphSkeleton, PartialMapSystem)}
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -71,7 +65,8 @@ def load_model(doc) -> DirectionModel:
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
         want = " or ".join(map(json.dumps, MODEL_KINDS))
         raise InvalidInputError(f"unknown model kind {kind!r} (want {want})")
-    cls, names_key, data_key, noun = MODEL_KINDS[kind]
+    cls = MODEL_KINDS[kind]
+    names_key, data_key, noun = cls.names_key, cls.entries_key, cls.entry_noun
     for key in ("rank", names_key, data_key):
         if key not in doc:
             raise InvalidInputError(f"{kind} document missing {key!r}")
@@ -149,20 +144,18 @@ def family_from_doc(model: DirectionModel, doc) -> IdealFamily:
     sets = doc["sets"]
     if not isinstance(sets, dict):
         raise InvalidInputError('"sets" must map direction-set labels to vertex lists')
-    nmasks = 1 << model.rank
-    want = {mask_label(m) for m in range(nmasks)}
-    got = set(sets)
-    if got != want:
-        missing = sorted(want - got)
-        extra = sorted(got - want)
+    masks = {mask_label(m): m for m in canonical_masks(model.rank)}
+    if sets.keys() != masks.keys():
+        missing = sorted(masks.keys() - sets.keys())
+        extra = sorted(sets.keys() - masks.keys())
         raise InvalidInputError(
             f"family keys mismatch: missing {missing}, unexpected {extra}"
         )
-    out = [0] * nmasks
+    out = [0] * len(masks)
     for label, names in sets.items():
         if not isinstance(names, list):
             raise InvalidInputError(f"entry {label!r} must be a list of vertex names")
-        out[label_to_mask(label, model.rank)] = model.set_of_names(names)
+        out[masks[label]] = model.set_of_names(names)
     return tuple(out)
 
 

@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: grammar, exit codes, determinism, schemas."""
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,14 @@ def run(capsys, *argv):
 
 def test_run_alias_is_the_entry_point():
     assert cli_run is main
+
+
+def test_console_script_is_the_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, attr = scripts["giideals"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def fx(fixture_dir, name):
@@ -871,6 +881,26 @@ def test_exhaustive_corpus_past_the_ceiling_is_a_prompt_budget_exit(tmp_path, ra
         "stats": {"implied_models": 2**18 - 2, "model_ceiling": 200_000},
     }
     assert doc["stats"]["implied_models"] > doc["stats"]["model_ceiling"]
+
+
+def test_sampled_corpus_past_the_ceiling_is_a_prompt_budget_exit(tmp_path):
+    # every model was drawn before the sweep began, so a sample count past
+    # the ceiling ran out of memory; the subprocess timeout is the wall-time
+    # bound
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({
+        "kinds": ["dynsys"], "rank_min": 1, "rank_max": 1,
+        "vertices_min": 1, "vertices_max": 1, "sample_count": 10**9,
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "giideals.cli", "crosscheck", "--corpus", str(corpus)],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == (
+        '{"error":"budget-exceeded",'
+        '"stats":{"implied_models":1000000000,"model_ceiling":200000}}\n'
+    )
 
 
 def test_budget_stats_past_the_digit_limit_still_print(capsys, tmp_path):

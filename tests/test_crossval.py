@@ -36,7 +36,7 @@ from giideals.crossval import (
     sweep_model,
 )
 from giideals.modelio import canonical_json, load_model, model_fingerprint
-from giideals import fixtures
+from giideals import crossval, fixtures
 
 from helpers import cli_rejects, doc_file, small_models
 
@@ -514,6 +514,21 @@ def test_exhaustive_corpus_ceiling():
     )
     with pytest.raises(BudgetExceededError):
         list(iter_corpus_models(spec))
+
+
+def test_sampled_corpus_ceiling_is_checked_before_any_draw(monkeypatch):
+    spec = CorpusSpec(kinds=("dynsys",), sample_count=11, model_ceiling=10)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a model was drawn past the ceiling")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(crossval, "random_model", no_draw)
+        with pytest.raises(BudgetExceededError) as info:
+            next(iter_corpus_models(spec))
+    assert info.value.stats == {"implied_models": 11, "model_ceiling": 10}
+    at_ceiling = CorpusSpec(kinds=("dynsys",), sample_count=10, model_ceiling=10)
+    assert len(list(iter_corpus_models(at_ceiling))) == 10
 
 
 def test_sampled_corpus_deterministic():
