@@ -7,7 +7,8 @@ appear in all input and output documents.
 Exit codes: 0 success or check passed; 1 check failed (witness JSON on
 stdout), discrepancies found, or an internal consistency error (two
 engines disagree: a note on stderr, nothing on stdout); 2 invalid input;
-3 budget exceeded.
+3 budget exceeded; 141 (128 + SIGPIPE) stdout closed before the output
+was written, as by ``| head``.
 
 Each command imports only the modules it uses: at module level this file
 imports ``core`` and ``modelio``, and the handlers import ``families``,
@@ -18,6 +19,7 @@ fresh interpreter, so a module it does not load is start-up time saved.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(doc) -> None:
@@ -128,6 +131,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        try:
+            sys.stdout.flush()  # the pipe that broke may be stderr's
+        except BrokenPipeError:
+            # stdout's reader is gone: stdout goes to the null device, so
+            # the flush at interpreter exit writes nothing and raises nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -214,13 +234,16 @@ def _cmd_family(args) -> int:
     return EXIT_OK if report.verdict else EXIT_CHECK_FAILED
 
 
-def _run_enumeration(model, relative_path, budget):
-    """The T-families, or those above the bound in ``relative_path``; a
-    budget exit reports only the budget."""
-    from .families import enumerate_relative_o, enumerate_t_families
+def _run_enumeration(model, relative_path, budget, count_only=False):
+    """The T-families, or those above the bound in ``relative_path``, or
+    with ``count_only`` just their number, counted as the walk yields them;
+    a budget exit reports only the budget."""
+    from .families import enumerate_relative_o, enumerate_t_families, iter_t_families
 
     lower = family_from_path(model, relative_path) if relative_path else None
     try:
+        if count_only:
+            return sum(1 for _ in iter_t_families(model, lower, budget))
         if lower is None:
             return enumerate_t_families(model, budget)
         return enumerate_relative_o(model, lower, budget)
@@ -230,11 +253,10 @@ def _run_enumeration(model, relative_path, budget):
 
 def _cmd_enumerate(args) -> int:
     model = load_model_path(args.model)
-    result = _run_enumeration(model, args.relative, args.budget)
     if args.count_only:
-        print(result.count)
+        print(_run_enumeration(model, args.relative, args.budget, count_only=True))
     else:
-        _emit(result.to_doc(model))
+        _emit(_run_enumeration(model, args.relative, args.budget).to_doc(model))
     return EXIT_OK
 
 

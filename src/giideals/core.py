@@ -66,6 +66,48 @@ class InternalConsistencyError(RuntimeError):
     """
 
 
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields in ``__slots__`` and its ``__init__`` passes
+    their values, in that order, to ``_Record.__init__``; assigning or
+    deleting a field afterwards raises :class:`AttributeError`.  Equality and
+    the hash read the fields in ``_compared``, and only between instances of
+    the same class.  Unlike :mod:`dataclasses`, this loads no module.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...]
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # direction-mask helpers
 

@@ -47,9 +47,10 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
+    _Record,
     _gfp_meet,
     _is_int,
     _lfp_join,
@@ -98,25 +99,36 @@ _REJECTED = bytes(range(128, 256))
 FAMILY_CAP = 400
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(_Record):
     """Description of a model corpus, either exhaustive within bounds or a
-    seeded random sample."""
+    seeded random sample.  The constructor validates the fields."""
 
-    kinds: tuple[str, ...] = tuple(MODEL_KINDS)
-    rank_min: int = 1
-    rank_max: int = 2
-    vertices_min: int = 1
-    vertices_max: int = 4
-    max_mult: int = 2
-    seed: int = 0
-    sample_count: int = 50
-    exhaustive: bool = False
-    candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING
-    candidate_samples: int = DEFAULT_CANDIDATE_SAMPLES
-    model_ceiling: int = 200_000
+    __slots__ = _compared = (
+        "kinds", "rank_min", "rank_max", "vertices_min", "vertices_max",
+        "max_mult", "seed", "sample_count", "exhaustive", "candidate_ceiling",
+        "candidate_samples", "model_ceiling",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kinds: tuple[str, ...] = tuple(MODEL_KINDS),
+        rank_min: int = 1,
+        rank_max: int = 2,
+        vertices_min: int = 1,
+        vertices_max: int = 4,
+        max_mult: int = 2,
+        seed: int = 0,
+        sample_count: int = 50,
+        exhaustive: bool = False,
+        candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING,
+        candidate_samples: int = DEFAULT_CANDIDATE_SAMPLES,
+        model_ceiling: int = 200_000,
+    ):
+        _Record.__init__(
+            self, kinds, rank_min, rank_max, vertices_min, vertices_max,
+            max_mult, seed, sample_count, exhaustive, candidate_ceiling,
+            candidate_samples, model_ceiling,
+        )
         for kind in self.kinds:
             if kind not in MODEL_KINDS:
                 raise InvalidInputError(f"unknown corpus kind {kind!r}")
@@ -140,8 +152,7 @@ class CorpusSpec:
     def from_doc(cls, doc: dict) -> "CorpusSpec":
         if not isinstance(doc, dict):
             raise InvalidInputError("corpus config must be a JSON object")
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(doc) - known
+        unknown = set(doc).difference(cls.__slots__)
         if unknown:
             raise InvalidInputError(f"unknown corpus config keys: {sorted(unknown)}")
         for key, value in doc.items():
@@ -161,8 +172,7 @@ class CorpusSpec:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """A claimed-impossible event, replayable from the embedded model
     document (and generator seed, when the model was randomly drawn)."""
 
@@ -173,13 +183,7 @@ class DiscrepancyReport:
     seed: int | None = None
 
     def to_doc(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "claim": self.claim,
-            "model": self.model,
-            "datum": self.datum,
-            "seed": self.seed,
-        }
+        return self._asdict()
 
 
 def _reporter(model: DirectionModel, seed: int | None, reports: list):

@@ -18,8 +18,8 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import (
     BudgetExceededError,
@@ -29,6 +29,7 @@ from .core import (
     InternalConsistencyError,
     InvalidInputError,
     _PhiRow,
+    _Record,
     _gfp_meet,
     _phi_lookup,
     canonical_masks,
@@ -54,8 +55,7 @@ VIOLATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a family check.
 
     ``verdict`` is true iff ``violated_condition`` is ``None``.  ``witness``
@@ -80,14 +80,22 @@ class CheckReport:
         return doc
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    """Canonically ordered, duplicate-free list of families."""
+class EnumerationResult(_Record):
+    """Canonically ordered, duplicate-free list of families.  ``mode`` is
+    "T", "O" or "relative_O"; ``stats`` (a new dict by default) takes no
+    part in equality or hashing."""
 
-    families: tuple[IdealFamily, ...]
-    count: int
-    mode: str  # "T" | "O" | "relative_O"
-    stats: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("families", "count", "mode", "stats")
+    _compared = ("families", "count", "mode")
+
+    def __init__(
+        self,
+        families: tuple[IdealFamily, ...],
+        count: int,
+        mode: str,
+        stats: dict | None = None,
+    ):
+        _Record.__init__(self, families, count, mode, {} if stats is None else stats)
 
     def to_doc(self, model: DirectionModel) -> dict:
         return {

@@ -39,7 +39,6 @@ each node id and each distinct family entry once per export.  The text is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (
@@ -47,28 +46,37 @@ from .core import (
     IdealFamily,
     InternalConsistencyError,
     InvalidInputError,
+    _Record,
     _phi_lookup,
 )
 from .families import EnumerationResult, _close, family_sort_key, is_t_family
 from .modelio import render_families
 
 
-@dataclass(frozen=True)
-class LatticeGraph:
+class LatticeGraph(_Record):
     """Hasse diagram of a family set, with payloads and extremes.
 
-    ``sets`` holds, per node, the ``sets`` of its family document; the node
-    id is the fingerprint of that document.  ``sets`` is derived from
-    ``nodes``, so it takes no part in equality or hashing.
+    ``nodes`` holds ``(node id, family)`` pairs in canonical order and
+    ``cover_edges`` ``(lower id, upper id)`` pairs.  ``sets`` holds, per
+    node, the ``sets`` of its family document; the node id is the
+    fingerprint of that document.  ``sets`` is derived from ``nodes``, so it
+    takes no part in equality or hashing.
     """
 
-    rank: int
-    vertex_names: tuple[str, ...]
-    nodes: tuple[tuple[str, IdealFamily], ...]  # (node id, family), canonical order
-    cover_edges: tuple[tuple[str, str], ...]  # (lower id, upper id)
-    bottom: str
-    top: str
-    sets: tuple[dict[str, list[str]], ...] = field(compare=False)
+    __slots__ = ("rank", "vertex_names", "nodes", "cover_edges", "bottom", "top", "sets")
+    _compared = __slots__[:-1]
+
+    def __init__(
+        self,
+        rank: int,
+        vertex_names: tuple[str, ...],
+        nodes: tuple[tuple[str, IdealFamily], ...],
+        cover_edges: tuple[tuple[str, str], ...],
+        bottom: str,
+        top: str,
+        sets: tuple[dict[str, list[str]], ...],
+    ):
+        _Record.__init__(self, rank, vertex_names, nodes, cover_edges, bottom, top, sets)
 
     def family_of(self, node_id: str) -> IdealFamily:
         for nid, fam in self.nodes:

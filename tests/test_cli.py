@@ -284,6 +284,96 @@ def test_enumerate_relative(capsys, fixture_dir, tmp_path):
     assert out.strip() == "2"
 
 
+MODEL_FIXTURES = ("shift2", "absorb2", "loop1", "loops2", "funnel1", "funnel2")
+
+
+def i_family_file(capsys, model, tmp_path):
+    """The model's I-family document, written to a file for ``--relative``."""
+    code, out, _ = run(capsys, "compute", "if", model)
+    assert code == 0
+    path = tmp_path / "if.json"
+    path.write_text(out)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", MODEL_FIXTURES)
+def test_count_only_prints_the_document_count(capsys, fixture_dir, tmp_path, name):
+    """``--count-only`` counts the walk's families without building the
+    document, and prints the document's ``count``: for the T-families and
+    for the families above a ``--relative`` bound (here the I-family)."""
+    model = fx(fixture_dir, f"{name}.json")
+    bound = i_family_file(capsys, model, tmp_path)
+    for relative in ([], ["--relative", bound]):
+        code, full, _ = run(capsys, "enumerate", model, *relative)
+        assert code == 0
+        code, counted, _ = run(capsys, "enumerate", model, *relative, "--count-only")
+        assert (code, counted) == (0, f"{json.loads(full)['count']}\n")
+
+
+#: a budget one candidate short: absorb2's walk tries 45 candidates, and
+#: funnel2's above its I-family 10
+SHORT_BUDGETS = [("absorb2", False, 44), ("funnel2", True, 9)]
+
+
+@pytest.mark.parametrize("name, relative, budget", SHORT_BUDGETS, ids=["t", "relative"])
+def test_count_only_budget_exit_matches_the_document_form(
+    capsys, fixture_dir, tmp_path, name, relative, budget
+):
+    model = fx(fixture_dir, f"{name}.json")
+    argv = ["enumerate", model, "--budget", str(budget)]
+    if relative:
+        argv += ["--relative", i_family_file(capsys, model, tmp_path)]
+    code, full, _ = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(full) == {"error": "budget-exceeded", "stats": {"budget": budget}}
+    assert run(capsys, *argv, "--count-only")[:2] == (3, full)
+    argv[3] = str(budget + 1)  # one more candidate is enough for both forms
+    code, full, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--count-only")[:2] == (0, f"{json.loads(full)['count']}\n")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_without_a_traceback(fixture_dir, buffered):
+    """A reader that has gone (``| head -c 100``) ends the command quietly:
+    nothing on stderr, exit 141 (128 + SIGPIPE), whether the write fails at
+    once or at the final flush."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "giideals.cli", "enumerate", fx(fixture_dir, "funnel2.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_a_broken_stderr_pipe_keeps_what_went_to_stdout(fixture_dir, tmp_path):
+    """Only a broken stdout sends stdout to the null device: a budget exit
+    whose stderr note fails still leaves its stdout line in the file."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # the line waits in stdout's buffer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "out.json"
+    try:
+        with out.open("wb") as stdout:
+            subprocess.run(
+                [sys.executable, "-m", "giideals.cli", "enumerate",
+                 fx(fixture_dir, "funnel2.json"), "--budget", "2"],
+                stdout=stdout, stderr=write_end, env=env, timeout=60,
+            )
+    finally:
+        os.close(write_end)
+    assert out.read_text() == '{"error":"budget-exceeded","stats":{"budget":2}}\n'
+
+
 def test_enumerate_budget_exceeded(capsys, fixture_dir):
     code, out, _ = run(
         capsys, "enumerate", fx(fixture_dir, "funnel2.json"), "--budget", "2"

@@ -1,10 +1,14 @@
 """Import hygiene of the package source.
 
 The main code never calls the naive oracles, it depends on nothing outside
-the standard library, and it defines no private helper that nothing uses.
+the standard library, it defines no private helper that nothing uses, and
+no command loads the standard library's slow-to-import ``dataclasses`` or
+``inspect``.
 """
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,6 +66,66 @@ def test_imports_are_stdlib_or_the_package(path):
         assert top == "giideals" or top in sys.stdlib_module_names, (
             f"{path.name} imports {name}"
         )
+
+
+#: modules that cost a command about 10 ms to import and compile when no
+#: bytecode is cached (``dataclasses`` loads ``inspect``, which loads ``ast``,
+#: ``dis`` and ``tokenize``); records are ``NamedTuple``s or ``core._Record``s
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses_or_inspect(path):
+    for name in imported_modules(path):
+        assert name.split(".")[0] not in SLOW_IMPORTS, f"{path.name} imports {name}"
+
+
+_SLOW_IMPORTS_AFTER = """
+import contextlib, io, json, sys
+from giideals.cli import main
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    loaded[" ".join(argv)] = [code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    """Every command in one fresh process, one after another: a module that
+    none of them loads is in ``sys.modules`` after none of them."""
+    fixtures = SRC.parent.parent / "fixtures"
+    absorb2, family = (str(fixtures / n) for n in ("absorb2.json", "absorb2_nested_family.json"))
+    dot = str(tmp_path / "lat.dot")
+    commands = [
+        ["validate", absorb2],
+        ["compute", "jf", absorb2],
+        ["family", "check", absorb2, family, "--mode", "t"],
+        ["family", "check", absorb2, family, "--mode", "nt"],
+        ["enumerate", absorb2],
+        ["enumerate", absorb2, "--count-only"],
+        ["lattice", absorb2, "--dot", dot],
+        ["crosscheck", absorb2],
+        ["random", "--kind", "dynsys", "--rank", "2", "--vertices", "3", "--seed", "5"],
+    ]
+    before = subprocess.run(
+        [sys.executable, "-c", "import sys, json; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    if not set(json.loads(before.stdout)).isdisjoint(SLOW_IMPORTS):
+        pytest.skip("the interpreter's start-up (a site .pth, say) loads them")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SLOW_IMPORTS_AFTER, json.dumps(commands),
+         json.dumps(SLOW_IMPORTS)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert {key: code for key, (code, _) in loaded.items()} == {
+        " ".join(argv): 1 if argv[0] == "family" else 0 for argv in commands
+    }
+    assert {key: mods for key, (_, mods) in loaded.items() if mods} == {}
 
 
 def private_definitions(tree):
