@@ -7,8 +7,8 @@ appear in all input and output documents.
 Exit codes: 0 success or check passed; 1 check failed (witness JSON on
 stdout), discrepancies found, or an internal consistency error (two
 engines disagree: a note on stderr, nothing on stdout); 2 invalid input;
-3 budget exceeded; 141 (128 + SIGPIPE) stdout closed before the output
-was written, as by ``| head``.
+3 budget exceeded; 141 (128 + SIGPIPE) stdout closed, full or its reader
+gone (``| head``).  A failed note on stderr never changes the exit code.
 
 Each command imports only the modules it uses: at module level this file
 imports ``core`` and ``modelio``, and the handlers import ``families``,
@@ -50,12 +50,51 @@ EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _emit(doc) -> None:
-    print(canonical_json(doc))
+class _StdoutGone(Exception):
+    """stdout could not take the output: ``main`` exits 141."""
+
+
+def _emit(doc=None) -> None:
+    """One canonical JSON line on stdout, or with no ``doc`` a flush, with the
+    int-string digit limit lifted: output numbers are computed, not read."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # from 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = "" if doc is None else canonical_json(doc) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    if not _write(sys.stdout, text):
+        raise _StdoutGone
 
 
 def _note(message: str) -> None:
-    print(message, file=sys.stderr)
+    _write(sys.stderr, message + "\n")  # best effort: the exit code stands
+
+
+def _write(stream, text: str) -> bool:
+    """Write and flush ``text``, or point a failed stream at the null device,
+    so the flush at interpreter exit raises nothing, and return False."""
+    if stream is None:  # closed at start-up: only a flush succeeds
+        return not text
+    try:
+        stream.write(text)
+        stream.flush()
+        return True
+    except OSError:
+        with open(os.devnull, "wb") as devnull:
+            try:
+                os.dup2(devnull.fileno(), stream.fileno())
+            except OSError:  # io.StringIO has no file descriptor
+                pass
+        return False
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a note, like any other
+        _note(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise SystemExit(EXIT_INVALID)
 
 
 def _positive_int(text: str) -> int:
@@ -70,7 +109,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="giideals",
         description="compute, check and enumerate the vertex-set families "
         "parametrising gauge-invariant ideals on finite models",
@@ -78,21 +117,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a model document")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("model")
 
     p = sub.add_parser("compute", help="compute a canonical family")
+    p.set_defaults(handler=_cmd_compute)
     p.add_argument("which", choices=["jf", "if"])
     p.add_argument("model")
 
     p = sub.add_parser("family", help="family operations")
     fam_sub = p.add_subparsers(dest="family_command", required=True)
     pc = fam_sub.add_parser("check", help="grade a family against a model")
+    pc.set_defaults(handler=_cmd_family)
     pc.add_argument("model")
     pc.add_argument("family")
     pc.add_argument("--mode", choices=["t", "nt", "o", "rel"], required=True)
     pc.add_argument("--k", dest="k_family", help="lower-bound family for --mode rel")
 
     p = sub.add_parser("enumerate", help="enumerate families of a model")
+    p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("model")
     p.add_argument("--relative", help="lower-bound family file")
     p.add_argument("--count-only", action="store_true")
@@ -103,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("lattice", help="build and export the family lattice")
+    p.set_defaults(handler=_cmd_lattice)
     p.add_argument("model")
     p.add_argument("--dot", help="write DOT here")
     p.add_argument("--json", dest="json_path", help="write JSON here")
@@ -110,11 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("crosscheck", help="run the verification harness")
+    p.set_defaults(handler=_cmd_crosscheck)
     p.add_argument("model", nargs="?")
     p.add_argument("--corpus", help="corpus config JSON")
     p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("random", help="generate a random model document")
+    p.set_defaults(handler=_cmd_random)
     p.add_argument("--kind", choices=list(MODEL_KINDS), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
@@ -133,39 +179,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         code = _main(argv)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-    except BrokenPipeError:
-        try:
-            sys.stdout.flush()  # the pipe that broke may be stderr's
-        except BrokenPipeError:
-            # stdout's reader is gone: stdout goes to the null device, so
-            # the flush at interpreter exit writes nothing and raises nothing
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        _emit()  # argparse's --help may wait in stdout's buffer
+    except _StdoutGone:
         return EXIT_BROKEN_PIPE
     return code
 
 
 def _main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INVALID
-    try:
-        return _dispatch(args)
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except SystemExit as exc:  # argparse's --help or a usage error
+        return exc.code
     except InvalidInputError as exc:
         _note(f"error: {exc}")
         return EXIT_INVALID
     except BudgetExceededError as exc:
-        # a stat may pass the int-string digit limit read_json keeps for input
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            _emit({"error": "budget-exceeded", "stats": exc.stats})
-        finally:
-            sys.set_int_max_str_digits(limit)
+        _emit({"error": "budget-exceeded", "stats": exc.stats})
         _note(f"error: {exc}")
         return EXIT_BUDGET
     except InternalConsistencyError as exc:
@@ -175,19 +205,6 @@ def _main(argv) -> int:
 
 #: entry point under its interface name
 run = main
-
-
-def _dispatch(args) -> int:
-    handler = {
-        "validate": _cmd_validate,
-        "compute": _cmd_compute,
-        "family": _cmd_family,
-        "enumerate": _cmd_enumerate,
-        "lattice": _cmd_lattice,
-        "crosscheck": _cmd_crosscheck,
-        "random": _cmd_random,
-    }[args.command]
-    return handler(args)
 
 
 def _cmd_validate(args) -> int:
@@ -254,7 +271,7 @@ def _run_enumeration(model, relative_path, budget, count_only=False):
 def _cmd_enumerate(args) -> int:
     model = load_model_path(args.model)
     if args.count_only:
-        print(_run_enumeration(model, args.relative, args.budget, count_only=True))
+        _emit(_run_enumeration(model, args.relative, args.budget, count_only=True))
     else:
         _emit(_run_enumeration(model, args.relative, args.budget).to_doc(model))
     return EXIT_OK

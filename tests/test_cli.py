@@ -1,6 +1,10 @@
 """End-to-end CLI behaviour: grammar, exit codes, determinism, schemas."""
 
+import contextlib
+import errno
+import functools
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from giideals.cli import main
+from giideals.cli import _StdoutGone, _emit, _note, main
 from giideals.cli import run as cli_run
 from helpers import cli_rejects
 
@@ -333,30 +337,101 @@ def test_count_only_budget_exit_matches_the_document_form(
     assert run(capsys, *argv, "--count-only")[:2] == (0, f"{json.loads(full)['count']}\n")
 
 
-@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_141_without_a_traceback(fixture_dir, buffered):
-    """A reader that has gone (``| head -c 100``) ends the command quietly:
-    nothing on stderr, exit 141 (128 + SIGPIPE), whether the write fails at
-    once or at the final flush."""
+#: the states of a stream that cannot be written: closed before the process
+#: starts (``2>&-``: Python's ``sys.stderr`` is then ``None``), full
+#: (``/dev/full``), and a pipe whose reader has gone, with Python's stdio
+#: buffered or not
+BROKEN = ["closed", "full", "buffered", "unbuffered"]
+
+
+def run_with_broken(fd, state, *argv):
+    """Run the CLI in a child whose stdout (``fd`` 1) or stderr (2) is in
+    ``state``, one of :data:`BROKEN` or ``"working"``; returns the exit code
+    and the bytes on stdout and on stderr, ``None`` for a broken stream."""
+    if state == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
+    if state == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "giideals.cli", "enumerate", fx(fixture_dir, "funnel2.json")],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (141, b"")
+    command = [sys.executable, "-m", "giideals.cli", *argv]
+    name = "stdout" if fd == 1 else "stderr"
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with contextlib.ExitStack() as stack:
+        if state == "closed":
+            command = ["sh", "-c", f'exec "$@" {fd}>&-', "sh", *command]
+        elif state == "full":
+            streams[name] = stack.enter_context(open("/dev/full", "wb"))
+        elif state != "working":
+            read_end, streams[name] = os.pipe()
+            os.close(read_end)
+            stack.callback(os.close, streams[name])
+        proc = subprocess.run(command, env=env, timeout=60, **streams)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+#: one command per exit code: 0 a passing crosscheck, 1 a failing family
+#: check, 2 a missing model file, 3 a budget exit; each writes a note
+BY_EXIT_CODE = {
+    0: ["crosscheck", "absorb2.json"],
+    1: ["family", "check", "absorb2.json", "absorb2_nested_family.json", "--mode", "nt"],
+    2: ["validate", "missing.json"],
+    3: ["enumerate", "funnel2.json", "--budget", "2"],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def working_run(fixture_dir, code):
+    argv = [fx(fixture_dir, a) if a.endswith(".json") else a for a in BY_EXIT_CODE[code]]
+    result = run_with_broken(2, "working", *argv)
+    assert result[0] == code and b"Traceback" not in result[2], result
+    return argv, result
+
+
+@pytest.mark.parametrize("state", BROKEN)
+@pytest.mark.parametrize("code", BY_EXIT_CODE)
+def test_a_stderr_that_cannot_be_written_changes_neither_stdout_nor_exit_code(
+    fixture_dir, code, state
+):
+    """Notes are best effort: whatever state stderr is in, stdout and the
+    exit code are those of a run with a working stderr."""
+    argv, (_, out, _) = working_run(fixture_dir, code)
+    assert run_with_broken(2, state, *argv)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("state", BROKEN)
+def test_a_usage_error_with_a_broken_stderr_exits_2(state):
+    """argparse's usage errors are notes too."""
+    assert run_with_broken(2, state, "validate")[:2] == (2, b"")
+
+
+@pytest.mark.parametrize("state", BROKEN)
+def test_lattice_with_a_broken_stderr_writes_its_file_and_summary(fixture_dir, tmp_path, state):
+    dot = tmp_path / "l.dot"
+    argv = ["lattice", fx(fixture_dir, "loop1.json"), "--dot", str(dot)]
+    code, out, _ = run_with_broken(2, "working", *argv)
+    assert code == 0 and json.loads(out)["nodes"] >= 1
+    expected = dot.read_bytes()
+    dot.unlink()
+    assert run_with_broken(2, state, *argv)[:2] == (0, out)
+    assert dot.read_bytes() == expected
+
+
+@pytest.mark.parametrize("state", BROKEN)
+def test_closed_stdout_exits_141_without_a_traceback(fixture_dir, state):
+    """A stdout that cannot take the output, closed, full or with its reader
+    gone (``| head -c 100``), ends the command quietly: nothing on stderr,
+    exit 141 (128 + SIGPIPE), whether the write fails at once or at the
+    final flush.  A command with nothing to print keeps its own exit code."""
+    code, _, err = run_with_broken(1, state, "enumerate", fx(fixture_dir, "funnel2.json"))
+    assert (code, err) == (141, b"")
+    code, _, err = run_with_broken(1, state, "validate", fx(fixture_dir, "missing.json"))
+    assert code == 2 and err.startswith(b"error: cannot read") and b"Traceback" not in err
 
 
 def test_a_broken_stderr_pipe_keeps_what_went_to_stdout(fixture_dir, tmp_path):
-    """Only a broken stdout sends stdout to the null device: a budget exit
-    whose stderr note fails still leaves its stdout line in the file."""
+    """Only a stdout that failed goes to the null device: a budget exit whose
+    stderr note fails still leaves its stdout line in the file, and exits 3."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)  # the line waits in stdout's buffer
     read_end, write_end = os.pipe()
@@ -364,14 +439,56 @@ def test_a_broken_stderr_pipe_keeps_what_went_to_stdout(fixture_dir, tmp_path):
     out = tmp_path / "out.json"
     try:
         with out.open("wb") as stdout:
-            subprocess.run(
+            proc = subprocess.run(
                 [sys.executable, "-m", "giideals.cli", "enumerate",
                  fx(fixture_dir, "funnel2.json"), "--budget", "2"],
                 stdout=stdout, stderr=write_end, env=env, timeout=60,
             )
     finally:
         os.close(write_end)
+    assert proc.returncode == 3
     assert out.read_text() == '{"error":"budget-exceeded","stats":{"budget":2}}\n'
+
+
+def test_the_writers_look_the_streams_up_per_call(capsys):
+    """``capsys`` and ``redirect_stdout`` swap the streams, and the writers
+    follow them: ``scripts/cli_digest.py`` reads stdout that way."""
+    _emit({"b": 1, "a": [2]})
+    _note("a note")
+    assert capsys.readouterr() == ('{"a":[2],"b":1}\n', "a note\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        _emit(45)
+        _note("another")
+    assert (out.getvalue(), err.getvalue()) == ("45\n", "another\n")
+
+
+class FullStream(io.StringIO):
+    """A stream with no file descriptor whose every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_write_to_a_stream_with_no_descriptor(monkeypatch, fixture_dir):
+    monkeypatch.setattr(sys, "stderr", FullStream())
+    _note("dropped")  # best effort: no exception
+    assert main(["validate", fx(fixture_dir, "missing.json")]) == 2
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    with pytest.raises(_StdoutGone):
+        _emit({})
+    assert main(["validate", fx(fixture_dir, "loop1.json")]) == 141
+
+
+def test_output_without_an_int_string_digit_limit(capsys, monkeypatch, fixture_dir):
+    """Python 3.10.0 to 3.10.6 have no int-string digit limit, and no
+    ``sys.get_int_max_str_digits`` to lift it with."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, _ = run(capsys, "enumerate", fx(fixture_dir, "funnel2.json"), "--budget", "2")
+    assert (code, out) == (3, '{"error":"budget-exceeded","stats":{"budget":2}}\n')
+    code, out, _ = run(capsys, "enumerate", fx(fixture_dir, "absorb2.json"), "--count-only")
+    assert (code, out) == (0, "14\n")
 
 
 def test_enumerate_budget_exceeded(capsys, fixture_dir):

@@ -175,6 +175,31 @@ def test_the_cli_loads_only_core_and_modelio():
         ), f"cli.py imports {name} at module level"
 
 
+#: the CLI's two writers, the only code that writes to stdout or stderr
+WRITERS = {"_emit", "_note"}
+
+
+def test_only_the_writers_touch_stdout_and_stderr():
+    """``print`` is called, and ``sys.stdout`` or ``sys.stderr`` read, only
+    inside ``_emit`` and ``_note``, which own the rule for a failed write."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    outside = []
+    pending = [(node, None) for node in tree.body]
+    while pending:
+        node, owner = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        is_print = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+        is_stream = (
+            isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+            and getattr(node.value, "id", None) == "sys"
+        )
+        if (is_print or is_stream) and owner not in WRITERS:
+            outside.append(f"{owner}:{node.lineno}")
+        pending.extend((child, owner) for child in ast.iter_child_nodes(node))
+    assert outside == []
+
+
 def test_the_package_root_loads_no_module():
     names = list(module_level_imports(SRC / "__init__.py"))
     assert [n for n in names if n.split(".")[0] == "giideals"] == []
