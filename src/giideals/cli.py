@@ -19,6 +19,8 @@ fresh interpreter, so a module it does not load is start-up time saved.
 from __future__ import annotations
 
 import argparse
+import collections
+import itertools
 import os
 import sys
 from functools import partial
@@ -54,17 +56,19 @@ class _StdoutGone(Exception):
     """stdout could not take the output: ``main`` exits 141."""
 
 
-def _emit(doc=None) -> None:
-    """One canonical JSON line on stdout, or with no ``doc`` a flush, with the
-    int-string digit limit lifted: output numbers are computed, not read."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # from 3.10.7
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        text = "" if doc is None else canonical_json(doc) + "\n"
-    finally:
+def _emit(doc=None, text: str = "") -> None:
+    """One canonical JSON line on stdout, rendered with the int-string digit
+    limit lifted (output numbers are computed, not read), or with no ``doc``
+    the pre-rendered ``text``: argparse's help."""
+    if doc is not None:
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # from 3.10.7
         if limit:
-            sys.set_int_max_str_digits(limit)
+            sys.set_int_max_str_digits(0)
+        try:
+            text = canonical_json(doc) + "\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     if not _write(sys.stdout, text):
         raise _StdoutGone
 
@@ -92,6 +96,9 @@ def _write(stream, text: str) -> bool:
 
 
 class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # help is stdout output, like any other
+        _emit(text=self.format_help())
+
     def error(self, message):  # a usage error is a note, like any other
         _note(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_INVALID)
@@ -178,11 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        code = _main(argv)
-        _emit()  # argparse's --help may wait in stdout's buffer
+        return _main(argv)
     except _StdoutGone:
         return EXIT_BROKEN_PIPE
-    return code
 
 
 def _main(argv) -> int:
@@ -327,34 +332,54 @@ def _cmd_crosscheck(args) -> int:
         pairs = [(load_model_path(args.model), None)]
     else:
         spec = CorpusSpec.from_doc(read_json(args.corpus))
-        pairs = list(iter_corpus_models(spec))
+        pairs = iter_corpus_models(spec)
 
-    # both maps yield in corpus order, so under any --jobs the first model
+    # the results come in corpus order under any --jobs, so the first model
     # in corpus order to raise (a budget exit) is the one reported, and the
     # stable sort prints the reports of equal models in corpus order, each
     # model's in candidate order
-    jobs = min(args.jobs, len(pairs))
     task = partial(_crosscheck_model, spec.candidate_ceiling, spec.candidate_samples)
-    if jobs <= 1:
-        results = list(map(task, pairs))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # slow to import
-
-        with ProcessPoolExecutor(jobs) as pool:
-            results = list(pool.map(task, pairs))
-
-    report_docs = sorted(
-        (doc for docs, _ in results for doc in docs),
-        key=lambda doc: (doc["fingerprint"], doc["claim"]),
-    )
+    models = candidates = 0
+    report_docs = []
+    for docs, count in _map_in_order(task, pairs, args.jobs):
+        models += 1
+        candidates += count
+        report_docs += docs
+    report_docs.sort(key=lambda doc: (doc["fingerprint"], doc["claim"]))
     for doc in report_docs:
         _emit(doc)
     _note(
-        f"crosscheck: {len(pairs)} model(s), "
-        f"{sum(candidates for _, candidates in results)} candidate families, "
+        f"crosscheck: {models} model(s), {candidates} candidate families, "
         f"{len(report_docs)} discrepancy report(s)"
     )
     return EXIT_OK if not report_docs else EXIT_CHECK_FAILED
+
+
+def _map_in_order(task, items, jobs):
+    """``map(task, items)`` on up to ``jobs`` worker processes, yielding in
+    the order of ``items`` and drawing them at most one window of
+    ``4 * jobs`` ahead of the results yielded (at ``2 * jobs``, tasks of a
+    fraction of a millisecond wait on the round trip).  One job, or a
+    single item, starts no pool.  A raising task raises here, in its turn,
+    and the futures not yet started are cancelled."""
+    items = iter(items)
+    window = list(itertools.islice(items, 4 * jobs)) if jobs > 1 else []
+    if len(window) < 2:
+        yield from map(task, itertools.chain(window, items))
+        return
+    from concurrent.futures import ProcessPoolExecutor  # slow to import
+
+    with ProcessPoolExecutor(min(jobs, len(window))) as pool:
+        futures = collections.deque(pool.submit(task, item) for item in window)
+        try:
+            while futures:
+                result = futures.popleft().result()
+                for item in itertools.islice(items, 1):
+                    futures.append(pool.submit(task, item))
+                yield result
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def _crosscheck_model(ceiling, samples, pair):

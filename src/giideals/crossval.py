@@ -37,9 +37,9 @@ enters through :func:`iter_corpus_models`, and its candidate limits through
 the sweep's keyword arguments.  The relative claim's lower bound (the
 canonical family) is computed lazily, only for a model whose sweep found a
 mismatch.  Commutation belongs to the backends: the exhaustive corpus
-filters direction tuples with the same first-clash predicates
+tests pairs of single directions with the same first-clash predicates
 (``kgraph._first_clash``, ``dynsys._first_clash``) that validation raises
-from.
+from, each unordered pair once, into a table its tuples are read from.
 """
 
 from __future__ import annotations
@@ -357,7 +357,10 @@ def iter_corpus_models(spec: CorpusSpec):
     each power as at most ``model_ceiling + 1`` (:func:`_capped_power`).
     That sum is the ``implied_models`` the budget error reports: a number
     past the ceiling and at most twice it plus one, not the full count.  So
-    a huge ``rank_max`` costs about ``log2(model_ceiling)`` steps.
+    a huge ``rank_max`` costs about ``log2(model_ceiling)`` steps.  It also
+    bounds the pair table of :func:`_iter_all_models`, the one caller of the
+    backends' ``_first_clash`` here.  The corpus is lazy, so a caller that
+    streams it (``crosscheck --corpus``) never holds it whole.
     """
     ceiling = spec.model_ceiling
     if spec.exhaustive:
@@ -379,11 +382,8 @@ def iter_corpus_models(spec: CorpusSpec):
                         )
                     power = min(power * singles, ceiling + 1)
         for kind in spec.kinds:
-            for rank in range(spec.rank_min, spec.rank_max + 1):
-                for v in range(spec.vertices_min, spec.vertices_max + 1):
-                    yield from (
-                        (m, None) for m in _iter_all_models(kind, rank, v, spec.max_mult)
-                    )
+            for model in _iter_all_models(kind, spec):
+                yield model, None
         return
     if spec.sample_count > ceiling:
         raise BudgetExceededError(
@@ -410,28 +410,67 @@ def _capped_power(base, exp, cap):
     return power
 
 
-def _iter_all_models(kind, rank, v, max_mult):
-    names = tuple(f"v{i}" for i in range(v))
+def _iter_all_models(kind, spec):
+    """Every pairwise-commuting direction tuple of ``kind`` within the
+    spec's bounds, rank by rank and then by vertex count, each cell's tuples
+    in lexicographic order of the indices of their singles (all matrices
+    with entries at most ``max_mult``, or all partial maps).  A single may
+    repeat, since it commutes with itself.
+
+    Commutation is symmetric, so each vertex count tests each unordered pair
+    of its singles once, with the backend's ``_first_clash``, in its first
+    cell of rank 2 or more (:func:`_commuting_table`); a rank-1 cell builds
+    no table.  With rank 2 or more in range, the ceiling check of
+    :func:`iter_corpus_models` bounds the table by the ceiling.
+    """
     if kind == "kgraph":
-        singles = list(_all_matrices(v, max_mult))
-        clash = _matrix_clash
-        build = lambda chosen: KGraphSkeleton(names, chosen)  # noqa: E731
+        clash, build = _matrix_clash, KGraphSkeleton
+        make_singles = lambda v: _all_matrices(v, spec.max_mult)  # noqa: E731
     else:
-        singles = list(_all_partial_maps(v))
-        clash = _map_clash
-        build = lambda chosen: PartialMapSystem(  # noqa: E731
+        clash, make_singles = _map_clash, _all_partial_maps
+        build = lambda names, chosen: PartialMapSystem(  # noqa: E731
             names, [_map_entry(names, img) for img in chosen]
         )
+    cells: dict = {}  # vertex count -> [singles, commuting table or None]
+    for rank in range(spec.rank_min, spec.rank_max + 1):
+        for v in range(spec.vertices_min, spec.vertices_max + 1):
+            cell = cells.setdefault(v, [list(make_singles(v)), None])
+            if rank > 1 and cell[1] is None:
+                cell[1] = _commuting_table(cell[0], clash)
+            names = tuple(f"v{i}" for i in range(v))
+            for chosen in _commuting_tuples(*cell, rank):
+                yield build(names, chosen)
 
-    def rec(chosen):
-        if len(chosen) == rank:
-            yield build(list(chosen))
-            return
-        for single in singles:
-            if all(clash(single, prev) is None for prev in chosen):
-                yield from rec(chosen + (single,))
 
-    yield from rec(())
+def _commuting_tuples(singles, commute, rank):
+    """Every ``rank``-tuple of pairwise-commuting singles, in lexicographic
+    order of their indices; ``commute`` is :func:`_commuting_table` of the
+    singles, read only above rank 1."""
+
+    def rec(chosen, allowed):
+        # allowed: the ascending indices of the singles that commute with
+        # every chosen one
+        for j in allowed:
+            picked = chosen + (singles[j],)
+            if len(picked) == rank:
+                yield picked
+            else:
+                partners = commute[j]
+                yield from rec(picked, [k for k in allowed if partners >> k & 1])
+
+    return rec((), range(len(singles)))
+
+
+def _commuting_table(singles, clash):
+    """Per single, the bitmask of the singles that commute with it (itself
+    included), from one ``clash`` call per unordered pair."""
+    commute = [1 << i for i in range(len(singles))]
+    for i, a in enumerate(singles):
+        for j in range(i + 1, len(singles)):
+            if clash(a, singles[j]) is None:
+                commute[i] |= 1 << j
+                commute[j] |= 1 << i
+    return commute
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ Commutation is checked in the strong pointwise sense: for every pair of
 directions and every point, the two composites must be both undefined or
 both defined with equal values.  ``_first_clash`` is that one test: validation
 raises from it, and the exhaustive corpus enumeration in
-:mod:`giideals.crossval` filters with it.
+:mod:`giideals.crossval` calls it once per unordered pair of candidate maps,
+to build the pair table its tuples are read from.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ class PartialMapSystem(DirectionModel):
         self._init_base(len(maps), points)
         n = self.vertex_count
         images: list[tuple[int | None, ...]] = []
+        deps = []  # preimages: deps[i-1][v] = {w : T_i(w) = v}
         for i, m in enumerate(maps, start=1):
             if not isinstance(m, dict):
                 raise InvalidInputError(f"map {i} must be a point -> point mapping")
@@ -44,26 +46,26 @@ class PartialMapSystem(DirectionModel):
                 if key not in self._index:
                     raise InvalidInputError(f"map {i} defined at unknown point {key!r}")
             row: list[int | None] = []
+            preimages = [0] * n
+            bit = 1
             for name in self.vertex_names:
                 target = m.get(name)
                 if target is None:
                     row.append(None)
                 elif isinstance(target, str) and target in self._index:
-                    row.append(self._index[target])
+                    t = self._index[target]
+                    row.append(t)
+                    preimages[t] |= bit
                 else:
                     raise InvalidInputError(
                         f"map {i} sends {name!r} to unknown point {target!r}"
                     )
+                bit <<= 1
             images.append(tuple(row))
+            deps.append(tuple(preimages))
         self.images = tuple(images)
         _check_commuting(self.images, self.vertex_names)
-        # preimages: deps[i-1][v] = {w : T_i(w) = v}
-        self.deps = tuple(
-            tuple(
-                sum(1 << w for w in range(n) if img[w] == v) for v in range(n)
-            )
-            for img in self.images
-        )
+        self.deps = tuple(deps)
 
     def _entries(self) -> list:
         return [_map_entry(self.vertex_names, img) for img in self.images]

@@ -19,10 +19,12 @@ Duplicate vertex names are rejected (matrices are indexed positionally).
 The document keys are ``vertices`` and ``adjacency``; the constructor
 checks each matrix's shape and entries, and that the matrices commute.
 
-This module owns the commutation test for matrices, ``_first_clash``:
-validation and the exhaustive corpus enumeration in
-:mod:`giideals.crossval` both call it, and the random-model generator there
-squares its seed matrix with ``_matmul``.
+This module owns the commutation test for matrices, ``_first_clash``.
+Validation calls it on each pair of a model's matrices.  The exhaustive
+corpus enumeration in :mod:`giideals.crossval` calls it once per unordered
+pair of candidate matrices, to build the pair table its tuples are read
+from.  The random-model generator there squares its seed matrix with
+``_matmul``.
 """
 
 from __future__ import annotations
@@ -41,12 +43,15 @@ class KGraphSkeleton(DirectionModel):
         matrices = tuple(tuple(tuple(row) for row in mat) for mat in adjacency)
         self._init_base(len(matrices), vertices)
         n = self.vertex_count
+        deps = []  # source supports: deps[i-1][v] = {w : M_i[v][w] > 0}
         for i, mat in enumerate(matrices, start=1):
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise InvalidInputError(
                     f"matrix {i} is not {n}x{n} for the given vertex list"
                 )
+            supports = []
             for row in mat:
+                support, bit = 0, 1
                 for x in row:
                     if not _is_int(x):
                         raise InvalidInputError(
@@ -56,15 +61,14 @@ class KGraphSkeleton(DirectionModel):
                         raise InvalidInputError(
                             f"matrix {i} has a negative entry {x}"
                         )
+                    if x:
+                        support |= bit
+                    bit <<= 1
+                supports.append(support)
+            deps.append(tuple(supports))
         _check_commuting(matrices, self.vertex_names)
         self.adjacency = matrices
-        # source supports: deps[i-1][v] = {w : M_i[v][w] > 0}
-        self.deps = tuple(
-            tuple(
-                sum(1 << w for w in range(n) if mat[v][w] > 0) for v in range(n)
-            )
-            for mat in matrices
-        )
+        self.deps = tuple(deps)
         self.note = SKELETON_NOTE if self.rank >= 3 else None
 
     def _entries(self) -> list:

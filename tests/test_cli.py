@@ -6,6 +6,7 @@ import functools
 import importlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from giideals.cli import _StdoutGone, _emit, _note, main
+from giideals.cli import _StdoutGone, _emit, _note, build_parser, main
 from giideals.cli import run as cli_run
 from helpers import cli_rejects
 
@@ -423,10 +424,17 @@ def test_closed_stdout_exits_141_without_a_traceback(fixture_dir, state):
     gone (``| head -c 100``), ends the command quietly: nothing on stderr,
     exit 141 (128 + SIGPIPE), whether the write fails at once or at the
     final flush.  A command with nothing to print keeps its own exit code."""
-    code, _, err = run_with_broken(1, state, "enumerate", fx(fixture_dir, "funnel2.json"))
-    assert (code, err) == (141, b"")
+    for argv in (["enumerate", fx(fixture_dir, "funnel2.json")], ["--help"], ["validate", "--help"]):
+        code, _, err = run_with_broken(1, state, *argv)
+        assert (code, err) == (141, b""), argv
     code, _, err = run_with_broken(1, state, "validate", fx(fixture_dir, "missing.json"))
     assert code == 2 and err.startswith(b"error: cannot read") and b"Traceback" not in err
+
+
+def test_help_is_stdout_output(capsys):
+    assert run(capsys, "--help") == (0, build_parser().format_help(), "")
+    code, out, err = run(capsys, "validate", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: giideals validate")
 
 
 def test_a_broken_stderr_pipe_keeps_what_went_to_stdout(fixture_dir, tmp_path):
@@ -915,6 +923,53 @@ def test_jobs_crosscheck_deterministic(capsys, fixture_dir):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args, "--jobs", "2")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("models, code", [(11, 0), (14, 3)])
+def test_jobs_give_one_stdout_and_exit_code_on_a_streamed_corpus(capsys, tmp_path, models, code):
+    """Models 0-10 of this corpus have 1 to 12 vertices and model 11 has 17,
+    past the subset-table limit: the 14-model corpus is a budget exit
+    partway through, more than one ``--jobs 2`` window into the corpus."""
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({
+        "kinds": ["dynsys", "kgraph"], "rank_min": 1, "rank_max": 2,
+        "vertices_min": 1, "vertices_max": 17, "sample_count": models, "seed": 241,
+        "candidate_ceiling": 4096, "candidate_samples": 500,
+    }))
+    argv = ["crosscheck", "--corpus", str(corpus), "--jobs"]
+    code1, out1, _ = run(capsys, *argv, "1")
+    assert run(capsys, *argv, "2")[:2] == (code1, out1)
+    assert code1 == code
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_the_corpus_is_drawn_at_most_one_window_ahead_of_the_results(jobs):
+    """``_map_in_order`` yields in input order, draws at most ``4 * jobs``
+    items (one with one job) ahead of what it has yielded, and raises a
+    task's error in its turn, without drawing the rest."""
+    from giideals.cli import _map_in_order
+
+    drawn = []
+
+    def items(values):
+        for value in values:
+            drawn.append(value)
+            yield value
+
+    window = 4 * jobs if jobs > 1 else 0
+    results = []
+    for result in _map_in_order(operator.neg, items(range(20)), jobs):
+        results.append(result)
+        assert len(drawn) - len(results) <= window
+    assert results == [-i for i in range(20)]
+
+    drawn.clear()
+    results.clear()
+    with pytest.raises(TypeError):
+        for result in _map_in_order(operator.neg, items([1, 2, "x", *range(20)]), jobs):
+            results.append(result)
+    assert results == [-1, -2]
+    assert len(drawn) <= 3 + window
 
 
 def test_jobs_crosscheck_orders_reports_of_equal_fingerprints_by_corpus_index(

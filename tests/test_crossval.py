@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,8 @@ from giideals import (
     BudgetExceededError,
     CorpusSpec,
     InvalidInputError,
+    KGraphSkeleton,
+    PartialMapSystem,
     enumerate_t_families,
     is_nt_tuple,
     is_t_family,
@@ -36,7 +39,7 @@ from giideals.crossval import (
     sweep_model,
 )
 from giideals.modelio import canonical_json, load_model, model_fingerprint
-from giideals import crossval, fixtures
+from giideals import crossval, dynsys, fixtures, kgraph
 
 from helpers import cli_rejects, doc_file, small_models
 
@@ -570,3 +573,80 @@ def test_exhaustive_legs_keep_their_order_and_documents():
             count += 1
         got[name] = (count, digest.hexdigest())
     assert got == EXHAUSTIVE_LEG_DIGESTS
+
+
+def reference_models(kind, ranks, vertex_counts, max_mult=2):
+    """The exhaustive corpus by its first filter: rank by rank, then vertex
+    count by vertex count, the product over singles in order, keeping a
+    tuple when ``_first_clash`` finds each single commuting with every one
+    chosen before it."""
+    for rank in ranks:
+        for v in vertex_counts:
+            names = tuple(f"v{i}" for i in range(v))
+            if kind == "kgraph":
+                singles = [
+                    tuple(flat[r * v:(r + 1) * v] for r in range(v))
+                    for flat in itertools.product(range(max_mult + 1), repeat=v * v)
+                ]
+                clash = kgraph._first_clash
+
+                def build(chosen):
+                    return KGraphSkeleton(names, chosen)
+            else:
+                singles = list(itertools.product((None, *range(v)), repeat=v))
+                clash = dynsys._first_clash
+
+                def build(chosen):
+                    return PartialMapSystem(names, [
+                        {names[w]: names[t] for w, t in enumerate(img) if t is not None}
+                        for img in chosen
+                    ])
+
+            def rec(chosen):
+                if len(chosen) == rank:
+                    yield build(chosen)
+                    return
+                for single in singles:
+                    if all(clash(single, prev) is None for prev in chosen):
+                        yield from rec(chosen + (single,))
+
+            yield from rec(())
+
+
+@pytest.mark.parametrize(
+    "kind, ranks, vertices, count",
+    [
+        ("dynsys", (1, 2, 3), (1, 2, 3), 5_563),
+        ("kgraph", (1, 2, 3), (1, 2), 6_560),
+        ("dynsys", (2,), (4,), 13_741),
+    ],
+    ids=["dynsys-upto-3-points", "kgraph-upto-2-vertices", "dynsys-4-point-pairs"],
+)
+def test_exhaustive_corpus_matches_the_reference_filter(kind, ranks, vertices, count):
+    """The commuting-pair table yields the same models in the same order as
+    the reference filter, over every cell of the ranges; a later rank reuses
+    the table its vertex count built first."""
+    spec = CorpusSpec(
+        kinds=(kind,), rank_min=ranks[0], rank_max=ranks[-1],
+        vertices_min=vertices[0], vertices_max=vertices[-1], max_mult=2,
+        exhaustive=True, model_ceiling=10**6,
+    )
+    got = [m.to_doc() for m, _ in iter_corpus_models(spec)]
+    assert len(got) == count
+    assert got == [m.to_doc() for m in reference_models(kind, ranks, vertices)]
+
+
+def test_a_rank_1_corpus_tests_no_pair(monkeypatch):
+    """Rank 1 needs no commutation test: 19,683 matrices on 3 vertices with
+    entries <= 2 would be 1.9e8 ordered pairs, minutes of work."""
+    def no_clash(a, b):
+        raise AssertionError("a rank-1 corpus tested a pair")
+
+    monkeypatch.setattr(crossval, "_matrix_clash", no_clash)
+    spec = CorpusSpec(
+        kinds=("kgraph",), rank_min=1, rank_max=1,
+        vertices_min=3, vertices_max=3, max_mult=2, exhaustive=True,
+    )
+    start = time.perf_counter()
+    assert sum(1 for _ in iter_corpus_models(spec)) == 3 ** 9
+    assert time.perf_counter() - start < 30
