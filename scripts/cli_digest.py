@@ -105,6 +105,17 @@ def invocations(inputs: Path):
     }))
     yield "corpus-exhaustive-past-ceiling", ["crosscheck", "--corpus", str(past_ceiling)]
 
+    # a large lattice: 9,816 families and 48,743 cover edges
+    large = inputs / "kgraph_3_4_2.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        cli_main(["random", "--kind", "kgraph", "--rank", "3", "--vertices", "4",
+                  "--seed", "2"])
+    large.write_text(stdout.getvalue())
+    yield "lattice-large:kgraph_3_4_2", [
+        "lattice", str(large), "--dot", "{out}/lat.dot", "--json", "{out}/lat.json"
+    ]
+
 
 def files_digest(out: Path) -> str:
     h = hashlib.sha256()

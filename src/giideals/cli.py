@@ -23,6 +23,7 @@ import collections
 import itertools
 import os
 import sys
+import time
 from functools import partial
 from pathlib import Path
 
@@ -355,13 +356,19 @@ def _cmd_crosscheck(args) -> int:
     return EXIT_OK if not report_docs else EXIT_CHECK_FAILED
 
 
+#: a batch is sized to take a worker about ``_BATCH_S`` s, at most ``_BATCH_MAX`` items
+_BATCH_S, _BATCH_MAX = 0.01, 128
+
+
 def _map_in_order(task, items, jobs):
     """``map(task, items)`` on up to ``jobs`` worker processes, yielding in
-    the order of ``items`` and drawing them at most one window of
-    ``4 * jobs`` ahead of the results yielded (at ``2 * jobs``, tasks of a
-    fraction of a millisecond wait on the round trip).  One job, or a
-    single item, starts no pool.  A raising task raises here, in its turn,
-    and the futures not yet started are cancelled."""
+    the order of ``items``.  Consecutive items go to a worker as one batch:
+    one item until a batch has come back, then as many as the finished
+    batches ran in ``_BATCH_S`` of worker time, so a quick task does not pay
+    a round trip of its own.  At most ``4 * jobs`` batches are out at once,
+    which bounds how far ahead items are drawn.  One job, or a single item,
+    starts no pool.  A raising task raises here, in its batch's turn, and
+    the batches not yet started are cancelled."""
     items = iter(items)
     window = list(itertools.islice(items, 4 * jobs)) if jobs > 1 else []
     if len(window) < 2:
@@ -369,17 +376,27 @@ def _map_in_order(task, items, jobs):
         return
     from concurrent.futures import ProcessPoolExecutor  # slow to import
 
+    run = partial(_run_batch, task)
+    done, seconds = 0, 0.0  # items back, and the worker time they took
     with ProcessPoolExecutor(min(jobs, len(window))) as pool:
-        futures = collections.deque(pool.submit(task, item) for item in window)
+        futures = collections.deque(pool.submit(run, [item]) for item in window)
         try:
             while futures:
-                result = futures.popleft().result()
-                for item in itertools.islice(items, 1):
-                    futures.append(pool.submit(task, item))
-                yield result
+                results, elapsed = futures.popleft().result()
+                done, seconds = done + len(results), seconds + elapsed
+                size = int(done * _BATCH_S / seconds) if seconds else _BATCH_MAX
+                if batch := list(itertools.islice(items, max(1, min(size, _BATCH_MAX)))):
+                    futures.append(pool.submit(run, batch))
+                yield from results
         finally:
             for future in futures:
                 future.cancel()
+
+
+def _run_batch(task, batch):
+    """``task`` on each item of ``batch``, and the seconds that took."""
+    start = time.perf_counter()
+    return [task(item) for item in batch], time.perf_counter() - start
 
 
 def _crosscheck_model(ceiling, samples, pair):

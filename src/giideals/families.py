@@ -101,7 +101,7 @@ class EnumerationResult(_Record):
         return {
             "mode": self.mode,
             "count": self.count,
-            "families": render_families(model, self.families)[0],
+            "families": render_families(model, self.families),
         }
 
 

@@ -24,22 +24,20 @@ other than all-V, or a missing cover) raises
 :class:`~giideals.core.InternalConsistencyError`: the enumeration, a
 top-down greatest-fixed-point search, disagrees with the Horn closure.
 
-The nodes' families are rendered together, by
-:func:`giideals.modelio.render_families`, each distinct vertex set once:
-a node id is the fingerprint of its family document, so ids are stable
-across runs, and both exports read its ``sets``, whose keys are in
-canonical direction-set order.  Exports are byte-stable for a given input.
-
-The JSON export lays out its one fixed document shape directly: string
-leaves go through the C encoder :func:`json.encoder.encode_basestring_ascii`,
-each node id and each distinct family entry once per export.  The text is
-``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte (whose
-``indent`` always takes the pure-Python encoder).
+A node id is the fingerprint of its family document
+(:func:`giideals.modelio.family_ids`), so ids are stable across runs.  The
+lattice keeps only the family ints, and each export renders its nodes from
+them, each distinct (direction set, vertex set) entry once.  The JSON
+export lays out its one document shape directly, string leaves through the
+C encoder :func:`json.encoder.encode_basestring_ascii`, to the bytes of
+``json.dumps(doc, sort_keys=True, indent=2)``: a node's ``family`` is the
+``sets`` of its family document.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
+from operator import getitem, itemgetter
 
 from .core import (
     DirectionModel,
@@ -48,23 +46,23 @@ from .core import (
     InvalidInputError,
     _Record,
     _phi_lookup,
+    canonical_masks,
+    mask_label,
 )
 from .families import EnumerationResult, _close, family_sort_key, is_t_family
-from .modelio import render_families
+from .modelio import family_ids
 
 
 class LatticeGraph(_Record):
     """Hasse diagram of a family set, with payloads and extremes.
 
     ``nodes`` holds ``(node id, family)`` pairs in canonical order and
-    ``cover_edges`` ``(lower id, upper id)`` pairs.  ``sets`` holds, per
-    node, the ``sets`` of its family document; the node id is the
-    fingerprint of that document.  ``sets`` is derived from ``nodes``, so it
-    takes no part in equality or hashing.
+    ``cover_edges`` ``(lower id, upper id)`` pairs.  A node id is the
+    fingerprint of its family's document (:func:`giideals.modelio.family_ids`).
     """
 
-    __slots__ = ("rank", "vertex_names", "nodes", "cover_edges", "bottom", "top", "sets")
-    _compared = __slots__[:-1]
+    __slots__ = ("rank", "vertex_names", "nodes", "cover_edges", "bottom", "top")
+    _compared = __slots__
 
     def __init__(
         self,
@@ -74,9 +72,8 @@ class LatticeGraph(_Record):
         cover_edges: tuple[tuple[str, str], ...],
         bottom: str,
         top: str,
-        sets: tuple[dict[str, list[str]], ...],
     ):
-        _Record.__init__(self, rank, vertex_names, nodes, cover_edges, bottom, top, sets)
+        _Record.__init__(self, rank, vertex_names, nodes, cover_edges, bottom, top)
 
     def family_of(self, node_id: str) -> IdealFamily:
         for nid, fam in self.nodes:
@@ -127,13 +124,17 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
     ``j <= x`` exactly when ``x`` holds the generator recorded with ``j``.
     Canonical order extends containment (where ``a < b`` first differ,
     ``a``'s entry is a proper subset, hence a smaller int), so the bottom is
-    first and the top last.  A repeated down-set, a first family not below
-    all, a last family other than all-V or a missing cover is an enumerator
-    bug: an internal-consistency error, not an input error.
+    first and the top last.  An invalid family is invalid input, found
+    first; a repeated down-set, a first family not below all, a last family
+    other than all-V or a missing cover is an enumerator bug: an
+    internal-consistency error, not an input error.
     """
-    fams = sorted(result.families, key=family_sort_key(model))
-    if not fams:
+    fams = result.families
+    ids = family_ids(model, fams)  # checks every family first
+    nodes = sorted(zip(map(family_sort_key(model), fams), ids, fams))
+    if not nodes:
         raise InvalidInputError("cannot build a lattice from an empty enumeration")
+    _, ids, fams = zip(*nodes)
     irr = _join_irreducibles(model)
     gens: list[list] = [[] for _ in fams[0]]  # at m: (bit of j, v) for each j at m
     for k, (_, m, v) in enumerate(irr):
@@ -161,7 +162,6 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
     ):
         raise InternalConsistencyError("family set is not an interval of T-families")
 
-    sets, ids = render_families(model, fams, with_ids=True)
     # edges by lower node, then by canonical index of the upper node
     edges = [(ids[a], ids[b]) for a, u in enumerate(ups) for b in sorted(u)]
     return LatticeGraph(
@@ -171,7 +171,6 @@ def build_lattice(model: DirectionModel, result: EnumerationResult) -> LatticeGr
         cover_edges=tuple(edges),
         bottom=ids[0],
         top=ids[-1],
-        sets=tuple(sets),
     )
 
 
@@ -184,38 +183,45 @@ def _shown_name(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _node_label(sets: dict[str, list[str]], quoted: dict[str, str]) -> str:
-    """Compact family notation: nonempty entries as "F:{v,..}", "()" for the
-    empty direction set, names in ``quoted`` replaced by their quoted form;
-    the all-empty family reads "all-empty".  Escaped for a quoted DOT
-    string."""
-    if quoted:
-        sets = {f: [quoted.get(n, n) for n in names] for f, names in sets.items()}
-    parts = [
-        f"{label or '()'}:{{{','.join(names)}}}"
-        for label, names in sets.items()
-        if names
-    ]
-    text = " ".join(parts) if parts else "all-empty"
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _height(fam: IdealFamily) -> int:
-    return sum(s.bit_count() for s in fam)
+def _entry_texts(lattice: LatticeGraph, shown: list[str], render, entry, by_label=False):
+    """A function from a node's family to its entries' texts, in canonical
+    order or, ``by_label``, in label order: ``entry(label, text)``, ``text``
+    the ``render`` of the ``shown`` names in the vertex set.  Each distinct
+    vertex set and (direction set, vertex set) entry is rendered once."""
+    labelled = [(mask_label(m), m) for m in canonical_masks(lattice.rank)]
+    labelled = sorted(labelled) if by_label else labelled
+    columns = [set(col) for col in zip(*(fam for _, fam in lattice.nodes))]
+    sets = {
+        s: render([n for v, n in enumerate(shown) if s >> v & 1])
+        for s in set().union(*columns)
+    }
+    cols = [{s: entry(f, sets[s]) for s in columns[m]} for f, m in labelled]
+    in_order = itemgetter(*(m for _, m in labelled))  # rank >= 1: a tuple
+    return lambda fam: map(getitem, cols, in_order(fam))
 
 
 def export_dot(lattice: LatticeGraph) -> str:
-    """Graphviz digraph, edges lower -> upper, rank hints by family height."""
+    """Graphviz digraph, edges lower -> upper, rank hints by family height.
+    A node's label lists its nonempty entries, "F:{v,..}" with "()" for
+    the empty direction set, or reads "all-empty", escaped for a quoted DOT
+    string."""
     lines = ["digraph family_lattice {", "  rankdir=BT;", '  node [shape=box];']
-    # usually empty, and then labels join the names as they are
-    quoted = {n: q for n in lattice.vertex_names if (q := _shown_name(n)) != n}
-    for (nid, _), sets in zip(lattice.nodes, lattice.sets):
-        lines.append(f'  "{nid}" [label="{_node_label(sets, quoted)}"];')
+    shown = [
+        _shown_name(n).replace("\\", "\\\\").replace('"', '\\"')
+        for n in lattice.vertex_names
+    ]
+    # an empty vertex set is left out of the label
+    entries = _entry_texts(
+        lattice, shown, ",".join, lambda f, text: text and f"{f or '()'}:{{{text}}}"
+    )
+    for nid, fam in lattice.nodes:
+        label = " ".join(filter(None, entries(fam))) or "all-empty"
+        lines.append(f'  "{nid}" [label="{label}"];')
     for lo, hi in lattice.cover_edges:
         lines.append(f'  "{lo}" -> "{hi}";')
     by_height: dict[int, list[str]] = {}
     for nid, fam in lattice.nodes:
-        by_height.setdefault(_height(fam), []).append(nid)
+        by_height.setdefault(sum(map(int.bit_count, fam)), []).append(nid)
     for h in sorted(by_height):
         if len(by_height[h]) > 1:
             row = "; ".join(f'"{nid}"' for nid in by_height[h])
@@ -233,29 +239,20 @@ def _block(items, indent: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}" if body else brackets
 
 
-def _node(quoted_id: str, sets: dict[str, list[str]], entries: dict) -> str:
-    """One ``nodes`` entry at its depth: ``family`` (keys sorted), quoted ``id``;
-    each distinct ``label: names`` entry rendered once into ``entries``."""
-    family = []
-    for label, names in sorted(sets.items()):
-        key = (label, *names)
-        text = entries.get(key)
-        if text is None:
-            block = _block(map(_quote, names), "        ")
-            text = entries[key] = f"{_quote(label)}: {block}"
-        family.append(text)
-    family_text = _block(family, "      ", "{}")
-    return f'{{\n      "family": {family_text},\n      "id": {quoted_id}\n    }}'
-
-
 def export_json(lattice: LatticeGraph) -> str:
     """JSON mirror of the lattice fields, stable for a given input: keys
-    sorted, two-space indent, ASCII only."""
-    entries: dict[tuple[str, ...], str] = {}
+    sorted, two-space indent, ASCII only; a node is its ``family``, the
+    ``sets`` of its family document, and its ``id``."""
+    entries = _entry_texts(
+        lattice, list(map(_quote, lattice.vertex_names)),
+        lambda names: _block(names, "        "), lambda f, block: f"{_quote(f)}: {block}",
+        by_label=True,
+    )
     quoted = {nid: _quote(nid) for nid, _ in lattice.nodes}
     nodes = [
-        _node(quoted[nid], sets, entries)
-        for (nid, _), sets in zip(lattice.nodes, lattice.sets)
+        f'{{\n      "family": {_block(entries(fam), "      ", "{}")},'
+        f'\n      "id": {quoted[nid]}\n    }}'
+        for nid, fam in lattice.nodes
     ]
     edges = [_block([quoted[lo], quoted[hi]], "    ") for lo, hi in lattice.cover_edges]
     fields = [

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
 
 from .core import (
@@ -93,45 +94,67 @@ def model_fingerprint(model: DirectionModel) -> str:
     return fingerprint(model.to_doc())
 
 
-def render_families(
-    model: DirectionModel, families, with_ids: bool = False
-) -> tuple[list[dict], list[str] | None]:
-    """Each family's document ``sets`` and, ``with_ids``, the fingerprint of
-    its document (else ``None``).
+class _Memo(dict):
+    """``memo[key]`` is ``render(key)``, computed on its first lookup."""
 
-    Families are validated by :func:`check_family`; ``sets`` keys are in
-    :func:`canonical_masks` order, names in vertex order, and no two dicts
-    share a list.  Each distinct vertex set is rendered once, to its names
-    and, ``with_ids``, their compact JSON, from which each document's
-    :func:`canonical_json` text is assembled and hashed.  This is the one
-    renderer of families.
-    """
-    names = model.vertex_names
-    masks = canonical_masks(model.rank)
-    labels = [mask_label(m) for m in masks]
-    by_key = sorted(zip(labels, masks))
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        self[key] = value = self.render(key)
+        return value
+
+
+def _renderer(model: DirectionModel):
+    """The one renderer of families: a function from a family to its
+    entries, each the vertex set's names and their compact JSON array.
+    Each distinct vertex set is checked and rendered once; a family of the
+    wrong length, or with an entry that is not an ``int`` (``1.0 == 1``),
+    goes through :func:`check_family` first."""
+
+    def render(s):
+        names = model.names_of_set(s)
+        return names, "[" + ",".join(map(_quote, names)) + "]"
+
+    rendered = _Memo(render).__getitem__
+
+    def entries(family) -> list:
+        fam = tuple(family)
+        if len(fam) != 1 << model.rank or not {int}.issuperset(map(type, fam)):
+            fam = check_family(model, fam)
+        return list(map(rendered, fam))
+
+    return entries
+
+
+def render_families(model: DirectionModel, families) -> list[dict]:
+    """Each family's document ``sets``, checked as :func:`check_family`
+    checks it, keys in :func:`canonical_masks` order and names in vertex
+    order; no two dicts share a list."""
+    labels = [(mask_label(m), m) for m in canonical_masks(model.rank)]
+    rendered = map(_renderer(model), families)
+    return [{label: list(fam[m][0]) for label, m in labels} for fam in rendered]
+
+
+def family_ids(model: DirectionModel, families) -> list[str]:
+    """Each family's id, the :func:`fingerprint` of its document, checked as
+    :func:`render_families` checks it; each document's :func:`canonical_json`
+    text is assembled from the rendered vertex sets."""
+    entries = _renderer(model)
+    by_key = sorted((mask_label(m), m) for m in canonical_masks(model.rank))
     keyed = ",".join(f"{_quote(label)}:%s" for label, _ in by_key)
     template = f'{{"rank":{model.rank},"sets":{{{keyed}}}}}'
-    rendered: dict[int, tuple[list[str], str | None]] = {}
-    all_sets, ids = [], []
-    for family in families:
-        fam = check_family(model, family)
-        for s in fam:
-            if s not in rendered:
-                members = [names[v] for v in range(len(names)) if s >> v & 1]
-                text = "[" + ",".join(map(_quote, members)) + "]" if with_ids else None
-                rendered[s] = members, text
-        entries = [rendered[s] for s in fam]
-        all_sets.append({lab: entries[m][0].copy() for lab, m in zip(labels, masks)})
-        if with_ids:
-            ids.append(_digest(template % tuple(entries[m][1] for _, m in by_key)))
-    return all_sets, ids if with_ids else None
+    in_key_order, text = itemgetter(*(m for _, m in by_key)), itemgetter(1)
+    return [
+        _digest(template % tuple(map(text, in_key_order(entries(family)))))
+        for family in families
+    ]
 
 
 def family_to_doc(model: DirectionModel, family) -> dict:
     """The family document ``{"rank": k, "sets": {label: [names]}}``: the
     one-family case of :func:`render_families`."""
-    return {"rank": model.rank, "sets": render_families(model, [family])[0][0]}
+    return {"rank": model.rank, "sets": render_families(model, [family])[0]}
 
 
 def family_from_doc(model: DirectionModel, doc) -> IdealFamily:

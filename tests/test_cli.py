@@ -945,9 +945,10 @@ def test_jobs_give_one_stdout_and_exit_code_on_a_streamed_corpus(capsys, tmp_pat
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_the_corpus_is_drawn_at_most_one_window_ahead_of_the_results(jobs):
     """``_map_in_order`` yields in input order, draws at most ``4 * jobs``
-    items (one with one job) ahead of what it has yielded, and raises a
-    task's error in its turn, without drawing the rest."""
-    from giideals.cli import _map_in_order
+    batches of at most ``_BATCH_MAX`` items ahead of the batch it is
+    yielding (nothing with one job), batches quick tasks, and raises a
+    task's error in its batch's turn, without drawing the rest."""
+    from giideals.cli import _BATCH_MAX, _map_in_order
 
     drawn = []
 
@@ -956,20 +957,29 @@ def test_the_corpus_is_drawn_at_most_one_window_ahead_of_the_results(jobs):
             drawn.append(value)
             yield value
 
-    window = 4 * jobs if jobs > 1 else 0
-    results = []
-    for result in _map_in_order(operator.neg, items(range(20)), jobs):
+    window = (4 * jobs + 1) * _BATCH_MAX if jobs > 1 else 0
+    results, ahead = [], []
+    count = 4 * window + 20
+    for result in _map_in_order(operator.neg, items(range(count)), jobs):
         results.append(result)
-        assert len(drawn) - len(results) <= window
-    assert results == [-i for i in range(20)]
+        ahead.append(len(drawn) - len(results))
+    assert results == [-i for i in range(count)]
+    assert max(ahead) <= window
+    if jobs > 1:  # tasks this quick go out in full batches
+        assert max(ahead) > 4 * jobs
 
-    drawn.clear()
-    results.clear()
-    with pytest.raises(TypeError):
-        for result in _map_in_order(operator.neg, items([1, 2, "x", *range(20)]), jobs):
-            results.append(result)
-    assert results == [-1, -2]
-    assert len(drawn) <= 3 + window
+    # in the first window each batch is one item; later, the results of the
+    # raising task's batch are lost with it
+    for bad in (2, 3 * _BATCH_MAX):
+        drawn.clear()
+        results.clear()
+        values = [*range(1, bad + 1), "x", *range(window + 20)]
+        with pytest.raises(TypeError):
+            for result in _map_in_order(operator.neg, items(values), jobs):
+                results.append(result)
+        assert results == [-i for i in range(1, len(results) + 1)]
+        assert len(results) == bad or (jobs > 1 and bad > 4 * jobs)
+        assert len(drawn) <= bad + 1 + window
 
 
 def test_jobs_crosscheck_orders_reports_of_equal_fingerprints_by_corpus_index(

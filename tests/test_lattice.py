@@ -20,7 +20,7 @@ from giideals.core import InvalidInputError, i_family
 from giideals.families import EnumerationResult
 from giideals.kgraph import KGraphSkeleton
 from giideals.lattice import _join_irreducibles
-from giideals.modelio import canonical_json, family_to_doc, fingerprint
+from giideals.modelio import canonical_json, family_to_doc, fingerprint, render_families
 from giideals import fixtures, oracles
 from giideals.crossval import builtin_random_models
 
@@ -297,14 +297,15 @@ def test_family_of_lookup():
         lat.family_of("nope")
 
 
-def reference_doc(lattice):
-    """The document ``export_json`` lays out, built as plain JSON values."""
+def reference_doc(model, lattice):
+    """The document ``export_json`` lays out, built as plain JSON values
+    from the family documents."""
     return {
         "rank": lattice.rank,
         "vertices": list(lattice.vertex_names),
         "nodes": [
-            {"id": nid, "family": sets}
-            for (nid, _), sets in zip(lattice.nodes, lattice.sets)
+            {"id": nid, "family": family_to_doc(model, fam)["sets"]}
+            for nid, fam in lattice.nodes
         ],
         "cover_edges": [[lo, hi] for lo, hi in lattice.cover_edges],
         "bottom": lattice.bottom,
@@ -343,18 +344,19 @@ def test_json_export_is_byte_identical_to_json_dumps():
     assert pairs[-1][1].cover_edges == ()
     assert '"cover_edges": [],' in export_json(pairs[-1][1])
     for model, lat in pairs:
-        doc = reference_doc(lat)
+        doc = reference_doc(model, lat)
         assert export_json(lat) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        families = [{"rank": lat.rank, "sets": sets} for sets in lat.sets]
+        families = [family_to_doc(model, fam) for _, fam in lat.nodes]
         for d in [doc, *families]:
             compact = json.dumps(d, sort_keys=True, separators=(",", ":"))
             assert canonical_json(d) == compact
-        # node ids are the fingerprints of the family documents, and no two
-        # nodes share a list of names
-        for (nid, fam), sets in zip(lat.nodes, lat.sets):
-            assert nid == fingerprint(family_to_doc(model, fam))
-            assert sets == family_to_doc(model, fam)["sets"]
-        lists = [id(names) for sets in lat.sets for names in sets.values()]
+        # node ids are the fingerprints of the family documents
+        for (nid, _), family in zip(lat.nodes, families):
+            assert nid == fingerprint(family)
+        # the family documents of one rendering share no list of names
+        docs = render_families(model, [fam for _, fam in lat.nodes])
+        assert docs == [family["sets"] for family in families]
+        lists = [id(names) for sets in docs for names in sets.values()]
         assert len(set(lists)) == len(lists)
 
 

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from giideals import InvalidInputError, load_model, random_model
+from giideals import (
+    EnumerationResult,
+    InvalidInputError,
+    build_lattice,
+    enumerate_t_families,
+    load_model,
+    random_model,
+)
 from giideals.core import canonical_masks, mask_label
 from giideals.modelio import (
     MODEL_KINDS,
@@ -192,6 +199,47 @@ def test_invalid_documents_are_rejected(capsys, fixture_dir, tmp_path, doc, kind
             load_model_path(path)
         argv = ["validate", path]
     assert message in cli_rejects(capsys, *argv)
+
+
+#: a bad last entry, after earlier families rendered every valid value:
+#: (name, bad entry or None for a short family, message); ``full`` is 3
+BAD_ENTRIES = [
+    ("float", 1.0, "vertex set 1.0 does not fit a model with 2 vertices"),
+    ("negative", -1, "vertex set -1 does not fit a model with 2 vertices"),
+    ("out of range", 4, "vertex set 4 does not fit a model with 2 vertices"),
+    ("length", None, "family must have 4 entries, got 3"),
+]
+
+
+@pytest.mark.parametrize("bad, message", [c[1:] for c in BAD_ENTRIES],
+                         ids=[c[0] for c in BAD_ENTRIES])
+@pytest.mark.parametrize("render", ["family_to_doc", "to_doc", "build_lattice"])
+def test_each_vertex_set_rendered_once_is_still_checked_in_every_family(
+    render, bad, message
+):
+    """The renderer checks each distinct vertex set once; an entry that is
+    not an int, or a family of the wrong length, is checked in full even
+    when an equal value was rendered before."""
+    model = fixtures.funnel2()
+    result = enumerate_t_families(model)
+    assert {s for fam in result.families for s in fam} == {0, 1, 2, 3}
+    last = result.families[-1]
+    fam = last[:-1] if bad is None else last[:-1] + (bad,)
+    families = result.families[:-1] + (fam,)
+    calls = {
+        "family_to_doc": lambda: [family_to_doc(model, f) for f in families],
+        "to_doc": lambda: EnumerationResult(families, len(families), "T").to_doc(model),
+        "build_lattice": lambda: build_lattice(
+            model, EnumerationResult(families, len(families), "T")
+        ),
+    }
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        calls[render]()
+
+
+def test_an_int_subclass_in_range_renders_as_its_value():
+    model = fixtures.loops2()
+    assert family_to_doc(model, (True,) * 4) == family_to_doc(model, (1,) * 4)
 
 
 def test_canonical_json_is_sorted_and_compact():

@@ -64,7 +64,7 @@ def test_cli_digest_is_stable():
     assert lines == runs[1].stdout.splitlines()
     # same outputs as the recorded digest: stdout, written files, exit codes
     assert lines == (GOLDEN / "cli_digest.txt").read_text().splitlines()
-    assert len(lines) == 85
+    assert len(lines) == 86
     assert all(len(line.split()) == 4 for line in lines)
     assert "corpus-repeated-kinds 2" in runs[0].stdout
     assert "corpus-exhaustive-past-ceiling 3" in runs[0].stdout
