@@ -16,7 +16,10 @@ and (iii) of the tuple check are the subset half of the fixed-point
 equation on each cover, the paper's direct route.  So the sweep decides
 both verdicts in one pass per candidate (:meth:`SweepTables.mismatches`):
 a failed subset half on one cover breaks the equation and (ii)/(iii) at
-once, so both verdicts are False and nothing else needs reading.
+once, so both verdicts are False and nothing else needs reading.  A
+sampled model of at most 7 vertices, swept with no ``t_check``, takes the
+same pass a chunk of candidates at a time, one byte lane per candidate
+(:meth:`SweepTables.lane_verdicts`).
 Condition (iv) reads the covers too: it is reached only when every subset
 half holds, so the family is monotone and the meet of its entries over the
 strict supersets of ``F`` is the meet over the covers ``F + i``.  The
@@ -94,6 +97,10 @@ _SAMPLER_MIN_PAIRS = 16
 
 #: Bytes with bit 7 set: a plane byte whose word the sampler rejects.
 _REJECTED = bytes(range(128, 256))
+
+#: The most vertices whose sampled values fit one byte lane with bit 7
+#: clear, as :meth:`SweepTables.lane_verdicts` needs.
+_LANE_BITS = 7
 
 #: Enumerated fixed-point families the property suite checks per model.
 FAMILY_CAP = 400
@@ -495,13 +502,17 @@ class SweepTables:
     conditions is free; the first-witness order belongs to
     :func:`giideals.families.is_nt_tuple`.
 
-    :meth:`mismatches`, the sweep's kernel, decides both verdicts in one
-    pass over the covers: the failed subset half of the equation on a cover
-    decides both, since it fails T and (ii)/(iii) alike.  Its condition (iv)
-    meets over the covers of ``F``, not all strict supersets, so no table
-    here grows as 4^rank.  :meth:`t_verdict` and :meth:`nt_verdict` decide
-    one verdict each, as the definition reads; they are the reference
-    implementation the tests pin the kernel to.
+    :meth:`mismatches`, the sweep's per-candidate kernel, decides both
+    verdicts in one pass over the covers: the failed subset half of the
+    equation on a cover decides both, since it fails T and (ii)/(iii)
+    alike.  Its condition (iv) meets over the covers of ``F``, not all
+    strict supersets, so no table here grows as 4^rank.
+    :meth:`lane_verdicts` asks the same questions of a whole chunk of
+    sampled candidates at once, one byte lane per candidate, and
+    :meth:`lane_mismatches` turns its answers into the same records.
+    :meth:`t_verdict` and :meth:`nt_verdict` decide one verdict each, as
+    the definition reads; they are the reference implementation the tests
+    pin both kernels to.
     """
 
     def __init__(self, model: DirectionModel):
@@ -569,7 +580,10 @@ class SweepTables:
         Condition (iv) reads the covers ``F + i`` and one ``lpi`` lookup;
         the comment at that step says why that is exact.  ``t_check(fam)``,
         when given, supplies ``t`` instead of the tables; it is called once
-        per candidate, in candidate order.
+        per candidate, in candidate order.  The sweep runs this kernel on
+        exhaustive candidates, under a ``t_check``, and on sampled models of
+        more than :data:`_LANE_BITS` vertices; :meth:`lane_mismatches` takes
+        the other sampled models.
         """
         phis, triples, jf = self.phis, self.t_triples, self.jf
         full = self.full
@@ -622,12 +636,101 @@ class SweepTables:
                     break
         return found
 
+    def lane_verdicts(self, chunks):
+        """Both verdicts on chunks of candidates, one byte lane per
+        candidate.  ``chunks`` yields per chunk one byte sequence per entry,
+        ``H_F`` of each candidate in candidate order, every value below 128
+        (as :func:`_sampled_lanes` does up to :data:`_LANE_BITS` vertices).
+        Yields per chunk ``(entries, t_fails, nt_fails)``: in ``t_fails``
+        bit 7 of byte lane ``j`` is set where candidate ``j`` fails T, in
+        ``nt_fails`` where it fails NT, and every other bit is clear.
 
-def _biased_candidates(rng, n, k, count):
-    """Seeded candidate families: alternately draws forced monotone over the
-    direction-set lattice (a necessary condition for both characterisations,
-    so uniform sampling alone would almost never hit a valid family) and
-    uniform draws.  Returns an iterator of ``count`` tuples.
+        Each table row becomes a 256-byte ``bytes.translate`` table, so a
+        lookup over a chunk is one translate; the rest is big-int AND, OR
+        and XOR, and since no value reaches bit 7, no carry crosses a lane.
+        Per lane it asks what :meth:`mismatches` asks: ``x = phi(i, H_F) &
+        H_{F+i}`` on each cover, T failing where ``x != H_F`` and the subset
+        half where ``H_F & ~x``; then condition (i), and condition (iv)
+        over the covers ``F + i`` with the one lookup ``lpi[jf & k0]``.
+        (i) and (iv) are decided on every lane, but they change NT only
+        where every subset half holds, the lanes on which :meth:`mismatches`
+        reaches them.  A lane ``v`` is nonzero where ``(v + 0x7F) & 0x80``
+        is set.
+        """
+        def table(row):
+            return bytes(row).ljust(256, b"\0")
+
+        covers = [(f, table(self.phis[i0]), fi) for f, i0, fi in self.t_triples]
+        ups = {
+            f: [fi for _, _, fi in group]
+            for f, group in itertools.groupby(self.t_triples, key=lambda c: c[0])
+        }
+        cond_i = [(f, table(self.jf[f])) for f in self.nonzero_masks]
+        cond_iv = [
+            (f, ups[f], table(self.lpi[f]), table(self.lim[f]))
+            for f in self.proper_masks
+        ]
+        for entries in chunks:
+            size = len(entries[0])
+            low = int.from_bytes(b"\x7f" * size, "little")
+            top = int.from_bytes(b"\x80" * size, "little")
+            h = [int.from_bytes(lane, "little") for lane in entries]
+            t_bad = nt_bad = 0
+            for f, phi, fi in covers:
+                x = int.from_bytes(entries[f].translate(phi), "little") & h[fi]
+                t_bad |= x ^ h[f]
+                nt_bad |= h[f] & ~x
+            jf_h0 = {}
+            for f, jf_row in cond_i:
+                jf_h0[f] = j = int.from_bytes(entries[0].translate(jf_row), "little")
+                nt_bad |= h[f] & ~j
+            for f, ups_f, lpi, lim in cond_iv:
+                k0 = jf_h0[f]
+                for fi in ups_f:
+                    k0 &= h[fi]
+                core = k0.to_bytes(size, "little").translate(lpi)
+                lim_h = entries[f].translate(lim)
+                nt_bad |= (
+                    int.from_bytes(core, "little") & int.from_bytes(lim_h, "little") & ~h[f]
+                )
+            yield entries, (t_bad + low) & top, (nt_bad + low) & top
+
+    def lane_mismatches(self, chunks) -> list[dict]:
+        """The records of :meth:`mismatches` for the candidates of
+        :meth:`lane_verdicts`, in candidate order, at most
+        :data:`REPORT_CAP` of them."""
+        found: list[dict] = []
+        for entries, t_fails, nt_fails in self.lane_verdicts(chunks):
+            differ = t_fails ^ nt_fails
+            if not differ:
+                continue
+            size = len(entries[0])
+            lanes = differ.to_bytes(size, "little")
+            t_lanes = t_fails.to_bytes(size, "little")
+            j = lanes.find(0x80)
+            while j >= 0:
+                t = not t_lanes[j]
+                fam = tuple(lane[j] for lane in entries)
+                found.append({"family": fam, "t": t, "nt": not t})
+                if len(found) >= REPORT_CAP:
+                    return found
+                j = lanes.find(0x80, j + 1)
+        return found
+
+
+def _sampled_lanes(rng, n, k, count):
+    """Seeded candidate families, chunk by chunk, as per-entry lanes:
+    alternately draws forced monotone over the direction-set lattice (a
+    necessary condition for both characterisations, so uniform sampling
+    alone would almost never hit a valid family) and uniform draws.  Yields
+    ``count`` candidates over its chunks; each chunk is a list of ``2**k``
+    lanes, entry ``m``'s values across the chunk's candidates in candidate
+    order (monotone draws at even positions, uniform draws at odd ones).  A
+    lane is a ``bytearray``, one byte per value, for ``n <=``
+    :data:`_LANE_BITS`, the input of :meth:`SweepTables.lane_verdicts`;
+    else a memoryview of 4-byte ``"I"`` values.  :func:`_biased_candidates`
+    turns the chunks into tuples.  Chunk sizes are worked out as the chunks
+    are drawn, so even ``count = 10**9`` yields its first chunk at once.
 
     Every value is one ``rng.randrange(2**n)``, taken in this order: per
     monotone candidate two draws ``r, r2`` per direction set in canonical
@@ -643,8 +746,8 @@ def _biased_candidates(rng, n, k, count):
     ``m`` words, least significant first.  The sweep's tables stop models at
     16 vertices, which keeps ``n + 1 <= 32``.  Candidates come in chunks of
     :data:`_SAMPLER_CHUNK_VALUES` values or :data:`_SAMPLER_MIN_PAIRS`
-    pairs, whichever is more; each chunk draws exactly the words its values
-    take, so the generator ends in the same state as
+    pairs, whichever is more; each chunk draws exactly the
+    words its values take, so the generator ends in the same state as
     after the draws one by one.  An iterator left unfinished has drawn to
     the end of its current chunk.
     """
@@ -659,7 +762,7 @@ def _biased_candidates(rng, n, k, count):
 
     planes = range((n + 6) // 7)  # 7-bit planes of the n value bits
     # a chunk's values as unsigned ints: a byte for one plane, else 4 bytes
-    code, width = ("B", 1) if n <= 7 else ("I", 4)
+    code, width = ("B", 1) if n <= _LANE_BITS else ("I", 4)
 
     def lanes(word, size=4):
         # ``word`` in each ``size``-byte lane of the largest draw
@@ -699,10 +802,10 @@ def _biased_candidates(rng, n, k, count):
         return values if sys.byteorder == "little" else values[::-1]
 
     def chunk(size):
-        # ``size`` candidates, monotone first: each strided slice is one
-        # entry's draws across the chunk's pairs, and the lane-wise big-int
-        # AND and OR build the monotone entries for all pairs at once (byte
-        # order is immaterial to them)
+        # ``size`` candidates: each strided slice is one entry's draws across
+        # the chunk's pairs, and the lane-wise big-int AND and OR build the
+        # monotone entries for all pairs at once (byte order is immaterial to
+        # them); each entry's monotone and uniform values then interleave
         monotone = (size + 1) // 2
         values = draw(size // 2 * stride + size % 2 * 2 * nmasks)
         fam = [0] * nmasks
@@ -712,15 +815,26 @@ def _biased_candidates(rng, n, k, count):
             for low in lower:
                 r |= fam[low]
             fam[m] = r
-        raw = (f.to_bytes(width * monotone, "little") for f in fam)
-        out = [None] * size
-        out[0::2] = zip(*(memoryview(b).cast(code) for b in raw))
-        out[1::2] = zip(*(values[2 * nmasks + m::stride] for m in range(nmasks)))
-        return out
+        entries = []
+        for m, f in enumerate(fam):
+            lane = bytearray(width * size)
+            view = memoryview(lane).cast(code)
+            view[0::2] = memoryview(f.to_bytes(width * monotone, "little")).cast(code)
+            view[1::2] = values[2 * nmasks + m::stride]
+            entries.append(view if width > 1 else lane)
+        return entries
 
     step = 2 * pairs
-    sizes = [min(step, count - start) for start in range(0, count, step)]
-    return itertools.chain.from_iterable(map(chunk, sizes))
+    return map(chunk, (min(step, count - start) for start in range(0, count, step)))
+
+
+def _biased_candidates(rng, n, k, count):
+    """The candidates of :func:`_sampled_lanes` as an iterator of ``count``
+    tuples, in candidate order: the form the per-candidate kernel
+    :meth:`SweepTables.mismatches` reads."""
+    return itertools.chain.from_iterable(
+        zip(*entries) for entries in _sampled_lanes(rng, n, k, count)
+    )
 
 
 def sweep_model(
@@ -736,11 +850,15 @@ def sweep_model(
 
     Returns up to :data:`REPORT_CAP` mismatch records ``{"family": fam,
     "t": t_verdict, "nt": nt_verdict}`` in candidate order, where ``fam`` is
-    the candidate family as a tuple of bitmasks; both verdicts come from
-    one pass of :meth:`SweepTables.mismatches`.  ``t_check(model, fam)``
-    overrides the fixed-point verdict (used by the harness self-test to
-    prove the sweep can see an injected fault) and is called once per
-    candidate.  ``stats`` receives ``mode`` (``"exhaustive"`` or
+    the candidate family as a tuple of bitmasks.  Both verdicts come from
+    one pass per candidate of :meth:`SweepTables.mismatches`, except on a
+    sampled model of at most :data:`_LANE_BITS` vertices with no
+    ``t_check``: there :meth:`SweepTables.lane_mismatches` decides each
+    chunk of :func:`_sampled_lanes` at once, one byte lane per candidate,
+    with the same records.  ``t_check(model, fam)`` overrides the
+    fixed-point verdict (used by the harness self-test to prove the sweep
+    can see an injected fault) and is called once per candidate.  ``stats``
+    receives ``mode`` (``"exhaustive"`` or
     ``"sampled"``) and ``candidates``: the model's candidate space or sample
     count, which it keeps even when the sweep stops at the
     :data:`REPORT_CAP`-th mismatch.  Models above 16 vertices raise
@@ -748,21 +866,25 @@ def sweep_model(
     "table_limit": 16}`` from their first phi table.
     """
     tables = SweepTables(model)
-    size = 1 << model.vertex_count
+    n = model.vertex_count
+    size = 1 << n
     space = size ** tables.nmasks
+    by_lanes = space > candidate_ceiling and n <= _LANE_BITS and t_check is None
     if space <= candidate_ceiling:
         mode = "exhaustive"
         candidates = itertools.product(range(size), repeat=tables.nmasks)
         checked = space
     else:
         mode = "sampled"
-        candidates = _biased_candidates(
-            random.Random(rng_seed), model.vertex_count, model.rank, candidate_samples
-        )
+        sampler = _sampled_lanes if by_lanes else _biased_candidates
+        candidates = sampler(random.Random(rng_seed), n, model.rank, candidate_samples)
         checked = candidate_samples
-    mismatches = tables.mismatches(
-        candidates, (lambda fam: t_check(model, fam)) if t_check else None
-    )
+    if by_lanes:
+        mismatches = tables.lane_mismatches(candidates)
+    else:
+        mismatches = tables.mismatches(
+            candidates, (lambda fam: t_check(model, fam)) if t_check else None
+        )
     if stats is not None:
         stats["mode"] = mode
         stats["candidates"] = checked

@@ -686,6 +686,23 @@ def test_crosscheck_corpus(capsys, fixture_dir):
     assert "45 model(s)" in err
 
 
+def test_crosscheck_sampled_corpus_decides_in_byte_lanes(capsys, fixture_dir, monkeypatch):
+    # every model of this corpus is sampled, with at most 7 vertices: the
+    # sweep decides it in byte lanes, never through the per-candidate kernel
+    from giideals.crossval import SweepTables
+
+    def per_candidate(*args):
+        raise AssertionError("the per-candidate kernel ran")
+
+    monkeypatch.setattr(SweepTables, "mismatches", per_candidate)
+    code, out, err = run(
+        capsys, "crosscheck", "--corpus", fx(fixture_dir, "corpus_sampled.json")
+    )
+    assert code == 0
+    assert out == ""
+    assert "8 model(s), 160000 candidate families, 0 discrepancy" in err
+
+
 def test_crosscheck_needs_exactly_one_source(capsys, fixture_dir):
     code, _, err = run(capsys, "crosscheck")
     assert code == 2

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -32,9 +33,11 @@ from giideals.crossval import (
     EXHAUSTIVE_LEGS,
     REPORT_CAP,
     SweepTables,
+    _LANE_BITS,
     _SAMPLER_CHUNK_VALUES,
     _SAMPLER_MIN_PAIRS,
     _biased_candidates,
+    _sampled_lanes,
     builtin_random_models,
     sweep_model,
 )
@@ -212,6 +215,17 @@ def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, tabl
     expected = reference[:REPORT_CAP]
     assert sweep_model(model) == expected
 
+    # the lane kernel on the same candidates as byte lanes, in chunks of
+    # 100, gives the same records; so it does on the mismatching families
+    # alone, one chunk in which every lane differs
+    def lanes(fams):
+        return [bytes(fam[m] for fam in fams) for m in range(1 << model.rank)]
+
+    candidates = list(itertools.product(range(size), repeat=1 << model.rank))
+    chunks = (lanes(candidates[i:i + 100]) for i in range(0, len(candidates), 100))
+    assert tables.lane_mismatches(chunks) == expected
+    assert tables.lane_mismatches([lanes([r["family"] for r in reference])]) == expected
+
     # a t_check supplying the same verdicts gives the same records and is
     # called once per candidate up to the cut
     calls = []
@@ -226,6 +240,107 @@ def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, tabl
     assert calls == list(itertools.islice(candidates, len(calls)))
     assert calls[-1] == expected[-1]["family"]
     assert stats == {"mode": "exhaustive", "candidates": size ** 4}
+
+    # sampled models: byte lanes at 4, 5 and 7 vertices, the per-candidate
+    # kernel at 8; the same records in candidate order, cut at REPORT_CAP
+    # in the second chunk (4 vertices) or the first (7 vertices) where a
+    # model has more
+    lengths = []
+    for rank, n, seed in ((3, 4, 1), (3, 5, 2), (3, 7, 3), (2, 8, 3)):
+        model = random_model("dynsys", rank, n, seed=seed)
+        tables = FaultyTables(model)
+        sample = list(_biased_candidates(random.Random(seed), n, rank, 3000))
+        expected = tables.mismatches(sample)
+        assert expected == list(itertools.islice(
+            (
+                {"family": fam, "t": t, "nt": nt} for fam in sample
+                if (t := tables.t_verdict(fam)) != (nt := tables.nt_verdict(fam))
+            ),
+            REPORT_CAP,
+        ))
+        stats = {}
+        assert sweep_model(model, candidate_samples=3000, rng_seed=seed, stats=stats) == expected
+        assert stats == {"mode": "sampled", "candidates": 3000}
+        calls.clear()
+        assert sweep_model(
+            model, candidate_samples=3000, rng_seed=seed, t_check=counted
+        ) == expected
+        assert calls == sample[:len(calls)]
+        lengths.append(len(expected))
+    assert sum(lengths) > 0
+
+
+def assert_lanes_decide(tables, chunks):
+    # every lane's two verdicts equal the reference methods' on its
+    # candidate, and a failing lane reads 0x80, a passing one 0
+    count = 0
+    for entries, t_fails, nt_fails in tables.lane_verdicts(chunks):
+        size = len(entries[0])
+        t_lanes, nt_lanes = t_fails.to_bytes(size, "little"), nt_fails.to_bytes(size, "little")
+        assert set(t_lanes + nt_lanes) <= {0, 0x80}
+        for fam, t_lane, nt_lane in zip(zip(*entries), t_lanes, nt_lanes):
+            assert (tables.t_verdict(fam), tables.nt_verdict(fam)) == (not t_lane, not nt_lane)
+        count += size
+    return count
+
+
+def test_lane_verdicts_match_the_reference_on_the_sampled_random_leg():
+    # every candidate of the random leg's 8 sampled models, which the sweep
+    # decides in byte lanes (4 or 5 vertices, no t_check)
+    models = [
+        (model, seed) for model, seed in builtin_random_models(40)
+        if (1 << model.vertex_count) ** (1 << model.rank) > DEFAULT_CANDIDATE_CEILING
+    ]
+    assert len(models) == 8
+    for model, seed in models:
+        assert model.vertex_count <= _LANE_BITS
+        chunks = _sampled_lanes(
+            random.Random(seed), model.vertex_count, model.rank, DEFAULT_CANDIDATE_SAMPLES
+        )
+        assert assert_lanes_decide(SweepTables(model), chunks) == DEFAULT_CANDIDATE_SAMPLES
+
+
+@pytest.mark.parametrize("kind, rank, n, seed", [
+    ("dynsys", 3, 4, 1), ("kgraph", 4, 3, 2),
+], ids=["rank-3", "rank-4"])
+def test_lane_verdicts_on_every_chunk_shape(kind, rank, n, seed):
+    # no candidate, one (a lone monotone draw), an odd count, and one past a
+    # chunk (a full chunk, then a one-candidate one), on tables whose jf
+    # rows drop a vertex so that the verdicts disagree; lpi is not
+    # corrupted (see the faulty-tables test)
+    model = random_model(kind, rank, n, seed=seed)
+    tables = SweepTables(model)
+    tables.jf = {f: [h & ~(model.full + 1 >> 1) for h in row] for f, row in tables.jf.items()}
+    chunk = 2 * max(_SAMPLER_MIN_PAIRS, _SAMPLER_CHUNK_VALUES // (3 << rank))
+    found = []
+    for count in (0, 1, 7, chunk + 1):
+        sizes = [len(entries[0]) for entries in _sampled_lanes(random.Random(seed), n, rank, count)]
+        assert sizes == ([chunk, 1] if count > chunk else [count] if count else [])
+        lanes = _sampled_lanes(random.Random(seed), n, rank, count)
+        assert assert_lanes_decide(tables, lanes) == count
+        sample = list(_biased_candidates(random.Random(seed), n, rank, count))
+        lanes = _sampled_lanes(random.Random(seed), n, rank, count)
+        found.append(tables.lane_mismatches(lanes))
+        assert found[-1] == tables.mismatches(sample)
+    assert found[-1]
+
+
+def test_the_first_sampled_candidate_comes_before_the_chunk_sizes_are_listed():
+    # a corpus may ask for 10**9 samples per model: about 1.5 million chunks
+    # at rank 3, sized one at a time as they are drawn, not listed up front
+    # (a list of 1.5 million sizes holds about 12 MB)
+    for sampler in (_biased_candidates, _sampled_lanes):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            first = next(sampler(random.Random(0), 4, 3, 10**9))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first
+        assert elapsed < 0.1
+        assert peak < 1 << 20
 
 
 def test_sweep_sampled_mode_is_deterministic():
