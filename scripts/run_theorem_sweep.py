@@ -2,7 +2,9 @@
 """Sweep the shipped corpus, comparing the two family characterisations.
 
 Prints per-leg progress to stderr and a JSON summary to stdout; any
-discrepancy reports are emitted as JSON lines.  Exit code 0 iff clean.
+discrepancy reports are emitted as JSON lines.  Each leg reports its total
+``seconds`` and, apart, the verdict sweep's ``sweep_seconds`` and the
+property suite's ``property_seconds``.  Exit code 0 iff clean.
 
 Usage:
     python scripts/run_theorem_sweep.py [--random-models N] [--seed S]
@@ -47,14 +49,16 @@ def main():
     all_reports = []
     summary = {"legs": [], "discrepancies": 0}
     for name, models in legs:
-        t0 = time.time()
+        t0 = time.perf_counter()
         stats: dict = {}
         reports = theorem_a_sweep(models=models, stats=stats)
+        t1 = time.perf_counter()
         reports += property_suite(models=models)
-        elapsed = time.time() - t0
+        t2 = time.perf_counter()
         print(
             f"{name}: {stats['models']} models, {stats['candidates']} candidates, "
-            f"{len(reports)} reports, {elapsed:.1f}s",
+            f"{len(reports)} reports, {t2 - t0:.1f}s "
+            f"(sweep {t1 - t0:.1f}s, property suite {t2 - t1:.1f}s)",
             file=sys.stderr,
         )
         summary["legs"].append(
@@ -63,7 +67,9 @@ def main():
                 "models": stats["models"],
                 "candidates": stats["candidates"],
                 "reports": len(reports),
-                "seconds": round(elapsed, 1),
+                "seconds": round(t2 - t0, 1),
+                "sweep_seconds": round(t1 - t0, 1),
+                "property_seconds": round(t2 - t1, 1),
             }
         )
         all_reports.extend(reports)

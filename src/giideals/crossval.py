@@ -505,8 +505,9 @@ class SweepTables:
     :meth:`mismatches`, the sweep's per-candidate kernel, decides both
     verdicts in one pass over the covers: the failed subset half of the
     equation on a cover decides both, since it fails T and (ii)/(iii)
-    alike.  Its condition (iv) meets over the covers of ``F``, not all
-    strict supersets, so no table here grows as 4^rank.
+    alike; the first cover's, tested before the loop, settles most
+    candidates.  Condition (iv) meets over the covers of ``F`` (``ups``),
+    not all strict supersets, so no table here grows as 4^rank.
     :meth:`lane_verdicts` asks the same questions of a whole chunk of
     sampled candidates at once, one byte lane per candidate, and
     :meth:`lane_mismatches` turns its answers into the same records.
@@ -525,6 +526,10 @@ class SweepTables:
 
         canon = canonical_masks(k)
         self.t_triples = [(f, i - 1, up) for f, i, up in direction_covers(k)]
+        self.ups = {
+            f: [fi for _, _, fi in covers]
+            for f, covers in itertools.groupby(self.t_triples, key=lambda c: c[0])
+        }
         self.nonzero_masks = [f for f in canon if f]
         self.proper_masks = [f for f in canon if 0 < f < full_dirs]
 
@@ -575,29 +580,36 @@ class SweepTables:
         One pass over the covers decides both verdicts.  ``x = phi(i, H_F)
         & H_{F+i}`` is computed once per cover: T fails where ``x != H_F``,
         and where ``H_F`` is not inside ``x`` the subset half fails too, so
-        both verdicts are False and the candidate is done.  Only a candidate
-        that passes every subset half goes on to conditions (i) and (iv).
-        Condition (iv) reads the covers ``F + i`` and one ``lpi`` lookup;
-        the comment at that step says why that is exact.  ``t_check(fam)``,
-        when given, supplies ``t`` instead of the tables; it is called once
-        per candidate, in candidate order.  The sweep runs this kernel on
-        exhaustive candidates, under a ``t_check``, and on sampled models of
-        more than :data:`_LANE_BITS` vertices; :meth:`lane_mismatches` takes
-        the other sampled models.
+        both verdicts are False and the candidate is done; the first cover,
+        on its bound phi row, settles most candidates before the loop.  Only
+        a candidate that passes every subset half goes on to (i) and (iv),
+        which reads the covers ``F + i`` and one ``lpi`` lookup.  Under a
+        ``t_check(fam)``, which supplies ``t``, no cover settles a candidate
+        and the kernel does not run: each takes ``t_check(fam)`` and the
+        reference :meth:`nt_verdict`, in candidate order.  The sweep runs the
+        kernel on exhaustive candidates and on sampled models of more than
+        :data:`_LANE_BITS` vertices; :meth:`lane_mismatches` on the others.
         """
-        phis, triples, jf = self.phis, self.t_triples, self.jf
-        full = self.full
+        if t_check is not None:
+            records = (
+                {"family": fam, "t": t, "nt": nt} for fam in candidates
+                if (t := t_check(fam)) != (nt := self.nt_verdict(fam))
+            )
+            return list(itertools.islice(records, REPORT_CAP))
+        phis, jf, ups, full = self.phis, self.jf, self.ups, self.full
+        (f0, d0, up0), *triples = self.t_triples
+        row0 = phis[d0]
         cond_i = [(f, jf[f]) for f in self.nonzero_masks]
-        ups = {
-            f: [fi for _, _, fi in covers]
-            for f, covers in itertools.groupby(triples, key=lambda c: c[0])
-        }
         cond_iv = [
             (f, ups[f], jf[f], self.lpi[f], self.lim[f]) for f in self.proper_masks
         ]
         found: list[dict] = []
         for fam in candidates:
-            t = True
+            h = fam[f0]
+            x = row0[h] & fam[up0]
+            if h & ~x:
+                continue  # the first subset half fails: both verdicts False
+            t = x == h
             for f, i0, fi in triples:
                 h = fam[f]
                 x = phis[i0][h] & fam[fi]
@@ -628,8 +640,6 @@ class SweepTables:
                         if lpi[jf_row[h0] & k0] & lim[h] & ~h:
                             nt = False
                             break
-            if t_check is not None:
-                t = t_check(fam)
             if t != nt:
                 found.append({"family": fam, "t": t, "nt": nt})
                 if len(found) >= REPORT_CAP:
@@ -661,13 +671,9 @@ class SweepTables:
             return bytes(row).ljust(256, b"\0")
 
         covers = [(f, table(self.phis[i0]), fi) for f, i0, fi in self.t_triples]
-        ups = {
-            f: [fi for _, _, fi in group]
-            for f, group in itertools.groupby(self.t_triples, key=lambda c: c[0])
-        }
         cond_i = [(f, table(self.jf[f])) for f in self.nonzero_masks]
         cond_iv = [
-            (f, ups[f], table(self.lpi[f]), table(self.lim[f]))
+            (f, self.ups[f], table(self.lpi[f]), table(self.lim[f]))
             for f in self.proper_masks
         ]
         for entries in chunks:
@@ -856,9 +862,9 @@ def sweep_model(
     ``t_check``: there :meth:`SweepTables.lane_mismatches` decides each
     chunk of :func:`_sampled_lanes` at once, one byte lane per candidate,
     with the same records.  ``t_check(model, fam)`` overrides the
-    fixed-point verdict (used by the harness self-test to prove the sweep
-    can see an injected fault) and is called once per candidate.  ``stats``
-    receives ``mode`` (``"exhaustive"`` or
+    fixed-point verdict (the harness self-test's injected fault): called
+    once per candidate in order, beside the reference NT verdict, it runs
+    no kernel.  ``stats`` receives ``mode`` (``"exhaustive"`` or
     ``"sampled"``) and ``candidates``: the model's candidate space or sample
     count, which it keeps even when the sweep stops at the
     :data:`REPORT_CAP`-th mismatch.  Models above 16 vertices raise

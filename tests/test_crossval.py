@@ -1,5 +1,6 @@
 """Verification harness: sweeps, the rank-1 pair oracle, random models."""
 
+import copy
 import hashlib
 import itertools
 import random
@@ -51,36 +52,60 @@ from helpers import cli_rejects, doc_file, small_models
 # the fast tables must agree with the public checkers
 
 
-def assert_kernel_decides(tables, fam):
-    # the fused kernel decides (t, nt) as the two reference methods do: with
-    # t fixed to True and then to False its one record reveals nt, and with
-    # no t_check it reports the pair exactly when the two differ
+def nt_failing(tables):
+    # a copy of the tables with the same phi rows, so the same T, on which
+    # NT fails on every family but the rank-1 all-empty one: all-empty jf
+    # rows fail (i) wherever an H_F with F != 0 is nonempty, and constant
+    # full lpi and lim rows fail (iv) wherever a proper F's H_F is not the
+    # whole vertex set (a constant row preserves meets, as the kernel's one
+    # lpi lookup needs)
+    failing = copy.copy(tables)
+    failing.jf = {f: [0] * len(row) for f, row in tables.jf.items()}
+    failing.lpi = {f: [tables.full] * len(row) for f, row in tables.lpi.items()}
+    failing.lim = {f: [tables.full] * len(row) for f, row in tables.lim.items()}
+    return failing
+
+
+def assert_kernel_decides(tables, failing, fam):
+    # the fused kernel decides (t, nt) as the two reference methods do.  With
+    # no t_check it reports the pair exactly when the two differ.  On the
+    # nt_failing copy the references report (True, False) exactly where t
+    # holds, so the kernel's record there pins its own t, and with the first
+    # assert its own nt: a spurious both-False exit on a (True, True)
+    # candidate fails there.  No table fails NT on the rank-1 all-empty
+    # family, which is (True, True) on any tables.  With t fixed to True and
+    # then to False, the t_check route's one record reveals the reference nt
+    # beside it (that route does not run the kernel)
     t, nt = tables.t_verdict(fam), tables.nt_verdict(fam)
+    assert tables.mismatches([fam]) == (
+        [] if t == nt else [{"family": fam, "t": t, "nt": nt}]
+    )
+    assert not failing.nt_verdict(fam) or fam == (0, 0)
+    assert failing.mismatches([fam]) == reference_records(failing, [fam])
     assert tables.mismatches([fam], lambda f: True) == (
         [] if nt else [{"family": fam, "t": True, "nt": False}]
     )
     assert tables.mismatches([fam], lambda f: False) == (
         [{"family": fam, "t": False, "nt": True}] if nt else []
     )
-    assert tables.mismatches([fam]) == (
-        [] if t == nt else [{"family": fam, "t": t, "nt": nt}]
-    )
 
 
 def test_sweep_tables_match_public_checkers_exhaustively():
     for model in fixtures.all_models():
         tables = SweepTables(model)
+        failing = nt_failing(tables)
         size = 1 << model.vertex_count
         for fam in itertools.product(range(size), repeat=1 << model.rank):
             assert tables.t_verdict(fam) == is_t_family(model, fam).verdict
             assert tables.nt_verdict(fam) == is_nt_tuple(model, fam).verdict
-            assert_kernel_decides(tables, fam)
+            assert_kernel_decides(tables, failing, fam)
 
 
 @settings(max_examples=15)
 @given(small_models(max_rank=2, max_vertices=3), st.data())
 def test_sweep_tables_match_public_checkers_sampled(model, data):
     tables = SweepTables(model)
+    failing = nt_failing(tables)
     nmasks = 1 << model.rank
     for _ in range(30):
         fam = tuple(
@@ -88,7 +113,7 @@ def test_sweep_tables_match_public_checkers_sampled(model, data):
         )
         assert tables.t_verdict(fam) == is_t_family(model, fam).verdict
         assert tables.nt_verdict(fam) == is_nt_tuple(model, fam).verdict
-        assert_kernel_decides(tables, fam)
+        assert_kernel_decides(tables, failing, fam)
 
 
 def test_sweep_tables_match_public_checkers_at_ranks_3_and_4():
@@ -103,12 +128,13 @@ def test_sweep_tables_match_public_checkers_at_ranks_3_and_4():
             for seed in seeds:
                 model = random_model(kind, rank, 3, seed)
                 tables = SweepTables(model)
+                failing = nt_failing(tables)
                 for fam in _biased_candidates(random.Random(seed), 3, rank, count):
                     nt = is_nt_tuple(model, fam)
                     exits[rank].add(nt.violated_condition)
                     assert tables.t_verdict(fam) == is_t_family(model, fam).verdict
                     assert tables.nt_verdict(fam) == nt.verdict
-                    assert_kernel_decides(tables, fam)
+                    assert_kernel_decides(tables, failing, fam)
     every_exit = {
         "condition_i", "invariance", "partial_order", "nt_condition_iv", None
     }
@@ -141,7 +167,7 @@ def test_relative_checks_agree_exhaustively_on_fixtures():
             assert is_relative_o_family(model, fam, bound).verdict == expected
 
 
-def test_sweep_self_test_detects_injected_fault():
+def test_sweep_self_test_detects_injected_fault(monkeypatch):
     # corrupting a verdict must surface as a discrepancy; the relative claim
     # trips only for a family above the canonical bound: the top family, not
     # the all-empty one (absorb2's canonical family is not empty)
@@ -167,6 +193,20 @@ def test_sweep_self_test_detects_injected_fault():
     assert all(r.datum["t_verdict"] is False for r in reports)
     assert all(r.fingerprint for r in reports)
 
+    # a t_check sweep takes NT from the reference method, not the kernel; a
+    # fault in the kernel's own tables surfaces with no t_check.  With every
+    # jf row empty, (i) fails each T family with a nonempty H_F, F != 0
+    class FaultyTables(SweepTables):
+        def __init__(self, model):
+            super().__init__(model)
+            self.jf = {f: [0] * len(row) for f, row in self.jf.items()}
+
+    monkeypatch.setattr(crossval, "SweepTables", FaultyTables)
+    reports = [r for r in theorem_a_sweep([model]) if r.claim == "nt_matches_t"]
+    assert reports
+    assert all(r.datum["t_verdict"] is True for r in reports)
+    assert full in [r.datum["family"] for r in reports]
+
 
 def test_sweep_stops_at_report_cap():
     # every candidate that fails the tuple check mismatches a constant-true
@@ -182,38 +222,65 @@ def test_sweep_stops_at_report_cap():
     assert sweep_model(model, t_check=lambda m, fam: True) == expected[:50]
 
 
+def reference_records(tables, candidates):
+    # every record of the two reference methods, with no REPORT_CAP cut
+    return [
+        {"family": fam, "t": t, "nt": nt} for fam in candidates
+        if (t := tables.t_verdict(fam)) != (nt := tables.nt_verdict(fam))
+    ]
+
+
+def kernel_records(tables, candidates):
+    # the kernel's records, one candidate at a time, so none is cut off
+    return [r for fam in candidates for r in tables.mismatches([fam])]
+
+
 @pytest.mark.parametrize("table, corrupt", [
     ("jf", lambda model, row: [model.full] * len(row)),                    # (i) always holds
     ("jf", lambda model, row: [h & ~(model.full + 1 >> 1) for h in row]),  # drops a vertex
     ("lim", lambda model, row: [model.full] * len(row)),                   # (iv) decides
-], ids=["jf-full", "jf-drops-a-vertex", "lim-full"])
+    ("phis", lambda model, row: [model.full] * len(row)),  # the first cover settles less
+    ("phis", lambda model, row: [0] * len(row)),           # the first cover settles more
+], ids=["jf-full", "jf-drops-a-vertex", "lim-full", "phi1-full", "phi1-empty"])
 def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, table, corrupt):
     # without t_check the sweep decides T from its own tables; on corrupted
-    # division or eventual-containment rows NT disagrees with T, and the
-    # sweep must report exactly what the two reference methods decide on the
-    # same tables.  lpi is never corrupted: the kernel's one lookup
-    # lpi[jf & k0] equals the reference's lpi[jf] & lpi[k0] only on a true
-    # lpi table
+    # division or eventual-containment rows, or a corrupted phi row of
+    # direction 1 (the first cover's, which the kernel tests before its
+    # cover loop), NT disagrees with T, and the sweep must report exactly
+    # what the two reference methods decide on the same tables.  lpi is
+    # never corrupted (it is built from the true phi rows): the kernel's one
+    # lookup lpi[jf & k0] equals the reference's lpi[jf] & lpi[k0] only on a
+    # true lpi table
     import giideals.crossval as crossval
 
     class FaultyTables(SweepTables):
         def __init__(self, model):
             super().__init__(model)
-            rows = getattr(self, table)
-            setattr(self, table, {f: corrupt(model, row) for f, row in rows.items()})
+            if table == "phis":
+                self.phis = [corrupt(model, self.phis[0]), *self.phis[1:]]
+            else:
+                rows = getattr(self, table)
+                setattr(self, table, {f: corrupt(model, row) for f, row in rows.items()})
 
     monkeypatch.setattr(crossval, "SweepTables", FaultyTables)
     model = random_model("dynsys", 2, 4, seed=2)
     tables = FaultyTables(model)
     size = 1 << model.vertex_count
-    reference = []
-    for fam in itertools.product(range(size), repeat=1 << model.rank):
-        t, nt = tables.t_verdict(fam), tables.nt_verdict(fam)
-        if t != nt:
-            reference.append({"family": fam, "t": t, "nt": nt})
+    space = list(itertools.product(range(size), repeat=1 << model.rank))
+    reference = reference_records(tables, space)
     assert len(reference) > REPORT_CAP
     expected = reference[:REPORT_CAP]
     assert sweep_model(model) == expected
+    assert kernel_records(tables, space) == reference
+    if table == "phis":
+        # the faulty row moves the first cover's exit: a full row makes it
+        # fire on fewer candidates than the true row, an empty one on more
+        true_row = SweepTables(model).phis[0]
+        moved = [
+            bool(h & ~(true_row[h] & h1)) - bool(h & ~(tables.phis[0][h] & h1))
+            for h in range(size) for h1 in range(size)
+        ]
+        assert set(moved) == ({0, 1} if tables.phis[0][0] else {0, -1})
 
     # the lane kernel on the same candidates as byte lanes, in chunks of
     # 100, gives the same records; so it does on the mismatching families
@@ -221,8 +288,7 @@ def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, tabl
     def lanes(fams):
         return [bytes(fam[m] for fam in fams) for m in range(1 << model.rank)]
 
-    candidates = list(itertools.product(range(size), repeat=1 << model.rank))
-    chunks = (lanes(candidates[i:i + 100]) for i in range(0, len(candidates), 100))
+    chunks = (lanes(space[i:i + 100]) for i in range(0, len(space), 100))
     assert tables.lane_mismatches(chunks) == expected
     assert tables.lane_mismatches([lanes([r["family"] for r in reference])]) == expected
 
@@ -236,10 +302,27 @@ def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, tabl
 
     stats = {}
     assert sweep_model(model, t_check=counted, stats=stats) == expected
-    candidates = itertools.product(range(size), repeat=1 << model.rank)
-    assert calls == list(itertools.islice(candidates, len(calls)))
+    assert calls == space[:len(calls)]
     assert calls[-1] == expected[-1]["family"]
     assert stats == {"mode": "exhaustive", "candidates": size ** 4}
+
+    # no cover settles a candidate under a t_check, which may say T where
+    # the tables say no: one that flips the reference nt on every 2000th
+    # call mismatches fewer than REPORT_CAP times, so it sees the whole
+    # space, once per candidate, in itertools.product order
+    calls.clear()
+
+    def flipping(mdl, fam):
+        calls.append(fam)
+        return tables.nt_verdict(fam) != (len(calls) % 2000 == 0)
+
+    flipped = space[1999::2000]
+    assert 0 < len(flipped) < REPORT_CAP
+    assert sweep_model(model, t_check=flipping) == [
+        {"family": fam, "t": not nt, "nt": nt}
+        for fam in flipped for nt in [tables.nt_verdict(fam)]
+    ]
+    assert calls == space
 
     # sampled models: byte lanes at 4, 5 and 7 vertices, the per-candidate
     # kernel at 8; the same records in candidate order, cut at REPORT_CAP
@@ -268,6 +351,31 @@ def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, tabl
         assert calls == sample[:len(calls)]
         lengths.append(len(expected))
     assert sum(lengths) > 0
+
+
+@pytest.mark.parametrize("kind, rank, n, seed", [
+    ("dynsys", 1, 6, 3), ("kgraph", 3, 2, 5),
+], ids=["rank-1", "rank-3"])
+def test_the_kernel_matches_the_references_on_a_whole_space(kind, rank, n, seed):
+    # a rank-1 space has no cover after the first, so the exit and the
+    # conditions (i) and (iv) decide every candidate; the rank-3 space
+    # (65,536 candidates at 2 vertices) walks 11 more covers.  On the true
+    # tables and on tables whose jf rows drop a vertex (so T and NT differ),
+    # the kernel's records equal the references', whole and one candidate
+    # at a time
+    model = random_model(kind, rank, n, seed=seed)
+    space = list(itertools.product(range(1 << n), repeat=1 << rank))
+    assert len(space) == (4096 if rank == 1 else 65536)
+    tables = SweepTables(model)
+    faulty = SweepTables(model)
+    faulty.jf = {f: [h & ~(model.full + 1 >> 1) for h in row] for f, row in faulty.jf.items()}
+    lengths = []
+    for tabs in (tables, faulty):
+        reference = reference_records(tabs, space)
+        assert tabs.mismatches(space) == reference[:REPORT_CAP]
+        assert kernel_records(tabs, space) == reference
+        lengths.append(len(reference))
+    assert lengths[0] == 0 < lengths[1]
 
 
 def assert_lanes_decide(tables, chunks):

@@ -27,7 +27,15 @@ def test_run_theorem_sweep_small(tmp_path):
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["discrepancies"] == 0
-    assert summary["legs"][0]["models"] == 4
+    leg = summary["legs"][0]
+    assert leg["models"] == 4
+    # the sweep and the property suite are timed apart, beside the total
+    assert set(leg) == {
+        "name", "models", "candidates", "reports",
+        "seconds", "sweep_seconds", "property_seconds",
+    }
+    assert all(leg[key] >= 0 for key in ("seconds", "sweep_seconds", "property_seconds"))
+    assert "(sweep " in proc.stderr and "property suite " in proc.stderr
     assert out_file.exists()
 
 
