@@ -17,9 +17,9 @@ equation on each cover, the paper's direct route.  So the sweep decides
 both verdicts in one pass per candidate (:meth:`SweepTables.mismatches`):
 a failed subset half on one cover breaks the equation and (ii)/(iii) at
 once, so both verdicts are False and nothing else needs reading.  A
-sampled model of at most 7 vertices, swept with no ``t_check``, takes the
-same pass a chunk of candidates at a time, one byte lane per candidate
-(:meth:`SweepTables.lane_verdicts`).
+sampled model, swept with no ``t_check``, takes the same pass a chunk of
+candidates at a time, one byte lane per candidate and 7-bit plane of its
+vertex sets (:meth:`SweepTables.lane_verdicts`).
 Condition (iv) reads the covers too: it is reached only when every subset
 half holds, so the family is monotone and the meet of its entries over the
 strict supersets of ``F`` is the meet over the covers ``F + i``.  The
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 from typing import NamedTuple
 
 from .core import (
@@ -97,10 +96,6 @@ _SAMPLER_MIN_PAIRS = 16
 
 #: Bytes with bit 7 set: a plane byte whose word the sampler rejects.
 _REJECTED = bytes(range(128, 256))
-
-#: The most vertices whose sampled values fit one byte lane with bit 7
-#: clear, as :meth:`SweepTables.lane_verdicts` needs.
-_LANE_BITS = 7
 
 #: Enumerated fixed-point families the property suite checks per model.
 FAMILY_CAP = 400
@@ -509,7 +504,7 @@ class SweepTables:
     candidates.  Condition (iv) meets over the covers of ``F`` (``ups``),
     not all strict supersets, so no table here grows as 4^rank.
     :meth:`lane_verdicts` asks the same questions of a whole chunk of
-    sampled candidates at once, one byte lane per candidate, and
+    sampled candidates at once, one byte lane per candidate and plane, and
     :meth:`lane_mismatches` turns its answers into the same records.
     :meth:`t_verdict` and :meth:`nt_verdict` decide one verdict each, as
     the definition reads; they are the reference implementation the tests
@@ -533,7 +528,8 @@ class SweepTables:
         self.nonzero_masks = [f for f in canon if f]
         self.proper_masks = [f for f in canon if 0 < f < full_dirs]
 
-        _, self.jf = division_tables(model)
+        self.xf, self.jf = division_tables(model)
+        self.planes = _planes(model.vertex_count)  # of the lane kernel
 
         self.lpi: dict[int, list[int]] = {}
         self.lim: dict[int, list[int]] = {}
@@ -587,8 +583,7 @@ class SweepTables:
         ``t_check(fam)``, which supplies ``t``, no cover settles a candidate
         and the kernel does not run: each takes ``t_check(fam)`` and the
         reference :meth:`nt_verdict`, in candidate order.  The sweep runs the
-        kernel on exhaustive candidates and on sampled models of more than
-        :data:`_LANE_BITS` vertices; :meth:`lane_mismatches` on the others.
+        kernel on exhaustive candidates, :meth:`lane_mismatches` on sampled.
         """
         if t_check is not None:
             records = (
@@ -649,56 +644,53 @@ class SweepTables:
     def lane_verdicts(self, chunks):
         """Both verdicts on chunks of candidates, one byte lane per
         candidate.  ``chunks`` yields per chunk one byte sequence per entry,
-        ``H_F`` of each candidate in candidate order, every value below 128
-        (as :func:`_sampled_lanes` does up to :data:`_LANE_BITS` vertices).
-        Yields per chunk ``(entries, t_fails, nt_fails)``: in ``t_fails``
-        bit 7 of byte lane ``j`` is set where candidate ``j`` fails T, in
-        ``nt_fails`` where it fails NT, and every other bit is clear.
+        ``H_F`` of each candidate in candidate order, its 7-bit planes back
+        to back (:func:`_sampled_lanes`).  Yields per chunk ``(entries,
+        t_fails, nt_fails)``: in ``t_fails`` bit 7 of byte lane ``j`` is set
+        where candidate ``j`` fails T, in ``nt_fails`` where it fails NT.
 
-        Each table row becomes a 256-byte ``bytes.translate`` table, so a
-        lookup over a chunk is one translate; the rest is big-int AND, OR
-        and XOR, and since no value reaches bit 7, no carry crosses a lane.
-        Per lane it asks what :meth:`mismatches` asks: ``x = phi(i, H_F) &
-        H_{F+i}`` on each cover, T failing where ``x != H_F`` and the subset
-        half where ``H_F & ~x``; then condition (i), and condition (iv)
-        over the covers ``F + i`` with the one lookup ``lpi[jf & k0]``.
-        (i) and (iv) are decided on every lane, but they change NT only
-        where every subset half holds, the lanes on which :meth:`mismatches`
-        reaches them.  A lane ``v`` is nonzero where ``(v + 0x7F) & 0x80``
-        is set.
+        Every row read here preserves meets, so a lookup is the AND over the
+        planes of their translates (:func:`_plane_table`); ``jf``, which
+        does not, is ``~xf | H_0``.  The rest is big-int AND, OR and XOR,
+        and no value reaches bit 7.  Per lane it asks what
+        :meth:`mismatches` asks: ``x = phi(i, H_F) & H_{F+i}`` on each
+        cover, T failing where ``x != H_F`` and the subset half where ``H_F
+        & ~x``; then (i), and (iv) over the covers ``F + i`` with the one
+        lookup ``lpi[jf & k0]``.  (i) and (iv) change NT only where every
+        subset half holds, the lanes on which :meth:`mismatches` reaches
+        them.  The planes are ORed into one byte per candidate, nonzero
+        where ``(v + 0x7F) & 0x80`` is set.
         """
-        def table(row):
-            return bytes(row).ljust(256, b"\0")
-
-        covers = [(f, table(self.phis[i0]), fi) for f, i0, fi in self.t_triples]
-        cond_i = [(f, table(self.jf[f])) for f in self.nonzero_masks]
+        p = len(self.planes)
+        covers = [(f, _plane_table(self.phis[i0]), fi) for f, i0, fi in self.t_triples]
+        cond_i = [(f, _plane_table(self.xf[f])) for f in self.nonzero_masks]
         cond_iv = [
-            (f, self.ups[f], table(self.lpi[f]), table(self.lim[f]))
+            (f, self.ups[f], _plane_table(self.lpi[f]), _plane_table(self.lim[f]))
             for f in self.proper_masks
         ]
         for entries in chunks:
-            size = len(entries[0])
+            size = len(entries[0]) // p
             low = int.from_bytes(b"\x7f" * size, "little")
             top = int.from_bytes(b"\x80" * size, "little")
             h = [int.from_bytes(lane, "little") for lane in entries]
             t_bad = nt_bad = 0
             for f, phi, fi in covers:
-                x = int.from_bytes(entries[f].translate(phi), "little") & h[fi]
+                x = _plane_lookup(phi, entries[f], size) & h[fi]
                 t_bad |= x ^ h[f]
                 nt_bad |= h[f] & ~x
             jf_h0 = {}
-            for f, jf_row in cond_i:
-                jf_h0[f] = j = int.from_bytes(entries[0].translate(jf_row), "little")
+            for f, xf in cond_i:
+                jf_h0[f] = j = ~_plane_lookup(xf, entries[0], size) | h[0]
                 nt_bad |= h[f] & ~j
             for f, ups_f, lpi, lim in cond_iv:
                 k0 = jf_h0[f]
                 for fi in ups_f:
                     k0 &= h[fi]
-                core = k0.to_bytes(size, "little").translate(lpi)
-                lim_h = entries[f].translate(lim)
-                nt_bad |= (
-                    int.from_bytes(core, "little") & int.from_bytes(lim_h, "little") & ~h[f]
-                )
+                core = _plane_lookup(lpi, k0.to_bytes(p * size, "little"), size)
+                nt_bad |= core & _plane_lookup(lim, entries[f], size) & ~h[f]
+            for q in range(1, p):
+                t_bad |= t_bad >> 8 * size * q
+                nt_bad |= nt_bad >> 8 * size * q
             yield entries, (t_bad + low) & top, (nt_bad + low) & top
 
     def lane_mismatches(self, chunks) -> list[dict]:
@@ -710,18 +702,56 @@ class SweepTables:
             differ = t_fails ^ nt_fails
             if not differ:
                 continue
-            size = len(entries[0])
-            lanes = differ.to_bytes(size, "little")
-            t_lanes = t_fails.to_bytes(size, "little")
+            fams = _lane_candidates(entries, self.planes)
+            lanes = differ.to_bytes(len(fams), "little")
+            t_lanes = t_fails.to_bytes(len(fams), "little")
             j = lanes.find(0x80)
             while j >= 0:
                 t = not t_lanes[j]
-                fam = tuple(lane[j] for lane in entries)
-                found.append({"family": fam, "t": t, "nt": not t})
+                found.append({"family": fams[j], "t": t, "nt": not t})
                 if len(found) >= REPORT_CAP:
                     return found
                 j = lanes.find(0x80, j + 1)
         return found
+
+
+def _planes(n):
+    """The 7-bit planes of ``n``-bit vertex sets, top plane first, as
+    ``(shift, mask)``: plane ``q`` of ``v`` is ``v >> shift & mask``."""
+    return [(max(d, 0), 0x7F >> max(-d, 0)) for d in range(n - 7, -7, -7)]
+
+
+def _plane_table(row):
+    """``table[q][r][b]``: plane ``r`` of ``row[v]``, where ``v`` holds ``b``
+    in plane ``q`` and is full in the others.  ``v`` is the meet of those
+    sets, so if ``row`` preserves meets, it is exact for every ``v``."""
+    full = len(row) - 1
+    planes = _planes(full.bit_length())
+    table = []
+    for shift, mask in planes:
+        ys = [row[b << shift | full & ~(mask << shift)] for b in range(mask + 1)]
+        table.append([bytes(y >> s & m for y in ys).ljust(256, b"\0") for s, m in planes])
+    return table
+
+
+def _plane_lookup(table, lane, size):
+    """A :func:`_plane_table`'s row on a lane of ``size`` candidates, as an
+    int laid out as the lane: the AND over ``q`` of plane ``q``'s translates."""
+    y = -1
+    for q, tables in enumerate(table):
+        plane = lane[q * size:(q + 1) * size]
+        y &= int.from_bytes(b"".join([plane.translate(t) for t in tables]), "little")
+    return y
+
+
+def _lane_candidates(entries, planes):
+    """The candidates of a chunk of :func:`_sampled_lanes`, as tuples."""
+    size = len(entries[0]) // len(planes)
+    values = [lane[-size:] for lane in entries]  # the last plane, at shift 0
+    for q, (shift, _) in enumerate(planes[:-1]):
+        for m, lane in enumerate(entries):
+            values[m] = [v | b << shift for v, b in zip(values[m], lane[q * size:])]
+    return list(zip(*values))
 
 
 def _sampled_lanes(rng, n, k, count):
@@ -732,11 +762,10 @@ def _sampled_lanes(rng, n, k, count):
     ``count`` candidates over its chunks; each chunk is a list of ``2**k``
     lanes, entry ``m``'s values across the chunk's candidates in candidate
     order (monotone draws at even positions, uniform draws at odd ones).  A
-    lane is a ``bytearray``, one byte per value, for ``n <=``
-    :data:`_LANE_BITS`, the input of :meth:`SweepTables.lane_verdicts`;
-    else a memoryview of 4-byte ``"I"`` values.  :func:`_biased_candidates`
-    turns the chunks into tuples.  Chunk sizes are worked out as the chunks
-    are drawn, so even ``count = 10**9`` yields its first chunk at once.
+    lane is a ``bytearray``: the values' :func:`_planes` back to back, top
+    first, a byte per value, as :meth:`SweepTables.lane_verdicts` reads
+    them.  Chunk sizes are worked out as the chunks are drawn, so even
+    ``count = 10**9`` yields its first chunk at once.
 
     Every value is one ``rng.randrange(2**n)``, taken in this order: per
     monotone candidate two draws ``r, r2`` per direction set in canonical
@@ -766,68 +795,50 @@ def _sampled_lanes(rng, n, k, count):
     pairs = max(_SAMPLER_MIN_PAIRS, _SAMPLER_CHUNK_VALUES // stride)
     pairs = max(1, min(pairs, (count + 1) // 2))
 
-    planes = range((n + 6) // 7)  # 7-bit planes of the n value bits
-    # a chunk's values as unsigned ints: a byte for one plane, else 4 bytes
-    code, width = ("B", 1) if n <= _LANE_BITS else ("I", 4)
-
-    def lanes(word, size=4):
-        # ``word`` in each ``size``-byte lane of the largest draw
-        lane = word.to_bytes(size, "little")
-        return int.from_bytes(lane * pairs * stride, "little")
-
+    p = len(_planes(n))
+    # the last plane's translate drops the bits below the value
+    shifts = [None] * (p - 1) + [bytes(b >> 7 * p - n for b in range(256))]
     if n > 7:  # planes after the first shift their bits under the reject bit
-        top_bit, below_top = lanes(0x80000000), lanes(0x7F000000)
-    # plane q of the buffer's lanes, moved to its value bits
-    joins = [
-        (8 * width - 1 - q - n, lanes((0x7F << n) >> 7 + 7 * q, width))
-        for q in planes
-    ]
+        top_bit, below_top = (  # one mask per 4-byte word of the largest draw
+            int.from_bytes(w.to_bytes(4, "little") * pairs * stride, "little")
+            for w in (0x80000000, 0x7F000000)
+        )
 
     def draw(total):
         # the top byte of a word is its reject bit over the value's top 7
         # bits; plane q shifts the next 7 bits under the same reject bit, so
         # one translate per plane drops the rejected words and the planes
         # stay aligned
-        kept = [bytearray() for _ in planes]
+        kept = [bytearray() for _ in shifts]
         while missing := total - len(kept[0]):
             x = rng.getrandbits(32 * missing)
-            for q, plane in enumerate(kept):
+            for q, (plane, shift) in enumerate(zip(kept, shifts)):
                 z = x << 7 * q & below_top | x & top_bit if q else x
-                plane += z.to_bytes(4 * missing, "little")[3::4].translate(
-                    None, _REJECTED
-                )
-        buf = bytearray(width * total)
-        for q, plane in enumerate(kept):
-            buf[width - 1 - q::width] = plane
-        u = int.from_bytes(buf, "little")
-        v = 0
-        for shift, mask in joins:
-            v |= u >> shift & mask
-        values = memoryview(v.to_bytes(width * total, sys.byteorder)).cast(code)
-        # big-endian bytes of v list its lanes last to first
-        return values if sys.byteorder == "little" else values[::-1]
+                plane += z.to_bytes(4 * missing, "little")[3::4].translate(shift, _REJECTED)
+        return kept
 
     def chunk(size):
         # ``size`` candidates: each strided slice is one entry's draws across
-        # the chunk's pairs, and the lane-wise big-int AND and OR build the
-        # monotone entries for all pairs at once (byte order is immaterial to
-        # them); each entry's monotone and uniform values then interleave
+        # the chunk's pairs in one plane, and the lane-wise big-int AND and
+        # OR build the monotone entries for all pairs and planes at once;
+        # each entry's monotone and uniform values then interleave per plane
         monotone = (size + 1) // 2
-        values = draw(size // 2 * stride + size % 2 * 2 * nmasks)
+        kept = draw(size // 2 * stride + size % 2 * 2 * nmasks)
         fam = [0] * nmasks
         for t, (m, lower) in enumerate(covers):
-            r = int.from_bytes(values[2 * t::stride], "little")
-            r &= int.from_bytes(values[2 * t + 1::stride], "little")
+            r = int.from_bytes(b"".join([v[2 * t::stride] for v in kept]), "little")
+            r &= int.from_bytes(b"".join([v[2 * t + 1::stride] for v in kept]), "little")
             for low in lower:
                 r |= fam[low]
             fam[m] = r
         entries = []
         for m, f in enumerate(fam):
-            lane = bytearray(width * size)
-            view = memoryview(lane).cast(code)
-            view[0::2] = memoryview(f.to_bytes(width * monotone, "little")).cast(code)
-            view[1::2] = values[2 * nmasks + m::stride]
-            entries.append(view if width > 1 else lane)
+            drawn = f.to_bytes(p * monotone, "little")
+            lane = bytearray(p * size)
+            for q, v in enumerate(kept):
+                lane[q * size:(q + 1) * size:2] = drawn[q * monotone:(q + 1) * monotone]
+                lane[q * size + 1:(q + 1) * size:2] = v[2 * nmasks + m::stride]
+            entries.append(lane)
         return entries
 
     step = 2 * pairs
@@ -836,10 +847,11 @@ def _sampled_lanes(rng, n, k, count):
 
 def _biased_candidates(rng, n, k, count):
     """The candidates of :func:`_sampled_lanes` as an iterator of ``count``
-    tuples, in candidate order: the form the per-candidate kernel
-    :meth:`SweepTables.mismatches` reads."""
+    tuples of ints, in candidate order: the form the ``t_check`` route of
+    :meth:`SweepTables.mismatches` and the tests read."""
+    planes = _planes(n)
     return itertools.chain.from_iterable(
-        zip(*entries) for entries in _sampled_lanes(rng, n, k, count)
+        _lane_candidates(entries, planes) for entries in _sampled_lanes(rng, n, k, count)
     )
 
 
@@ -858,10 +870,10 @@ def sweep_model(
     "t": t_verdict, "nt": nt_verdict}`` in candidate order, where ``fam`` is
     the candidate family as a tuple of bitmasks.  Both verdicts come from
     one pass per candidate of :meth:`SweepTables.mismatches`, except on a
-    sampled model of at most :data:`_LANE_BITS` vertices with no
-    ``t_check``: there :meth:`SweepTables.lane_mismatches` decides each
-    chunk of :func:`_sampled_lanes` at once, one byte lane per candidate,
-    with the same records.  ``t_check(model, fam)`` overrides the
+    sampled model with no ``t_check``: there
+    :meth:`SweepTables.lane_mismatches` decides each chunk of
+    :func:`_sampled_lanes` at once, one byte lane per candidate and 7-bit
+    plane, with the same records.  ``t_check(model, fam)`` overrides the
     fixed-point verdict (the harness self-test's injected fault): called
     once per candidate in order, beside the reference NT verdict, it runs
     no kernel.  ``stats`` receives ``mode`` (``"exhaustive"`` or
@@ -875,7 +887,7 @@ def sweep_model(
     n = model.vertex_count
     size = 1 << n
     space = size ** tables.nmasks
-    by_lanes = space > candidate_ceiling and n <= _LANE_BITS and t_check is None
+    by_lanes = space > candidate_ceiling and t_check is None
     if space <= candidate_ceiling:
         mode = "exhaustive"
         candidates = itertools.product(range(size), repeat=tables.nmasks)

@@ -703,6 +703,25 @@ def test_crosscheck_sampled_corpus_decides_in_byte_lanes(capsys, fixture_dir, mo
     assert "8 model(s), 160000 candidate families, 0 discrepancy" in err
 
 
+def test_crosscheck_sampled_corpus_on_two_planes_decides_in_byte_lanes(
+    capsys, fixture_dir, monkeypatch
+):
+    # 6 sampled models of 8 to 13 vertices, two 7-bit planes each: the sweep
+    # decides them in byte lanes too, never through the per-candidate kernel
+    from giideals.crossval import SweepTables
+
+    def per_candidate(*args):
+        raise AssertionError("the per-candidate kernel ran")
+
+    monkeypatch.setattr(SweepTables, "mismatches", per_candidate)
+    code, out, err = run(
+        capsys, "crosscheck", "--corpus", fx(fixture_dir, "corpus_sampled_planes.json")
+    )
+    assert code == 0
+    assert out == ""
+    assert "6 model(s), 120000 candidate families, 0 discrepancy" in err
+
+
 def test_crosscheck_needs_exactly_one_source(capsys, fixture_dir):
     code, _, err = run(capsys, "crosscheck")
     assert code == 2

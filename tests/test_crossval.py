@@ -34,7 +34,6 @@ from giideals.crossval import (
     EXHAUSTIVE_LEGS,
     REPORT_CAP,
     SweepTables,
-    _LANE_BITS,
     _SAMPLER_CHUNK_VALUES,
     _SAMPLER_MIN_PAIRS,
     _biased_candidates,
@@ -235,18 +234,35 @@ def kernel_records(tables, candidates):
     return [r for fam in candidates for r in tables.mismatches([fam])]
 
 
+def with_xf(tables, corrupt):
+    # the tables with each xf row corrupted and jf rebuilt from it as
+    # division_tables defines it, jf = ~xf | h: the lane kernel reads xf,
+    # the per-candidate kernel and the references jf, and all see one fault
+    tables.xf = {f: corrupt(row) for f, row in tables.xf.items()}
+    tables.jf = {
+        f: [(~x & tables.full) | h for h, x in enumerate(row)] for f, row in tables.xf.items()
+    }
+    return tables
+
+
+def gains_top_vertex(model):
+    # an xf fault that preserves meets: jf drops the top vertex from every
+    # set without it
+    return lambda row: [x | (model.full + 1 >> 1) for x in row]
+
+
 @pytest.mark.parametrize("table, corrupt", [
-    ("jf", lambda model, row: [model.full] * len(row)),                    # (i) always holds
-    ("jf", lambda model, row: [h & ~(model.full + 1 >> 1) for h in row]),  # drops a vertex
+    ("xf", lambda model, row: [0] * len(row)),  # jf full: (i) always holds
+    ("xf", lambda model, row: gains_top_vertex(model)(row)),  # jf drops a vertex
     ("lim", lambda model, row: [model.full] * len(row)),                   # (iv) decides
     ("phis", lambda model, row: [model.full] * len(row)),  # the first cover settles less
     ("phis", lambda model, row: [0] * len(row)),           # the first cover settles more
 ], ids=["jf-full", "jf-drops-a-vertex", "lim-full", "phi1-full", "phi1-empty"])
 def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, table, corrupt):
     # without t_check the sweep decides T from its own tables; on corrupted
-    # division or eventual-containment rows, or a corrupted phi row of
-    # direction 1 (the first cover's, which the kernel tests before its
-    # cover loop), NT disagrees with T, and the sweep must report exactly
+    # division (xf, and jf rebuilt from it) or eventual-containment rows, or
+    # a corrupted phi row of direction 1 (the first cover's, which the
+    # kernel tests before its cover loop), NT disagrees with T, and the sweep must report exactly
     # what the two reference methods decide on the same tables.  lpi is
     # never corrupted (it is built from the true phi rows): the kernel's one
     # lookup lpi[jf & k0] equals the reference's lpi[jf] & lpi[k0] only on a
@@ -258,6 +274,8 @@ def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, tabl
             super().__init__(model)
             if table == "phis":
                 self.phis = [corrupt(model, self.phis[0]), *self.phis[1:]]
+            elif table == "xf":
+                with_xf(self, lambda row: corrupt(model, row))
             else:
                 rows = getattr(self, table)
                 setattr(self, table, {f: corrupt(model, row) for f, row in rows.items()})
@@ -324,8 +342,8 @@ def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, tabl
     ]
     assert calls == space
 
-    # sampled models: byte lanes at 4, 5 and 7 vertices, the per-candidate
-    # kernel at 8; the same records in candidate order, cut at REPORT_CAP
+    # sampled models: byte lanes at 4, 5 and 7 vertices (one plane) and at
+    # 8 (two); the same records in candidate order, cut at REPORT_CAP
     # in the second chunk (4 vertices) or the first (7 vertices) where a
     # model has more
     lengths = []
@@ -378,14 +396,42 @@ def test_the_kernel_matches_the_references_on_a_whole_space(kind, rank, n, seed)
     assert lengths[0] == 0 < lengths[1]
 
 
+def plane_bits(n):
+    # the bit widths of the 7-bit planes of an n-bit value, top plane first:
+    # only the last may be narrower
+    return [7] * ((n - 1) // 7) + [n - 7 * ((n - 1) // 7)]
+
+
+def plane_lane(values, n):
+    # values as one lane of 7-bit planes back to back, top plane first
+    lane, below = b"", n
+    for bits in plane_bits(n):
+        below -= bits
+        lane += bytes(v >> below & (1 << bits) - 1 for v in values)
+    return lane
+
+
+def plane_values(lane, n):
+    # the values of a lane of 7-bit planes, top plane first
+    widths = plane_bits(n)
+    size = len(lane) // len(widths)
+    values = [0] * size
+    for q, bits in enumerate(widths):
+        values = [v << bits | b for v, b in zip(values, lane[q * size:(q + 1) * size])]
+    return values
+
+
 def assert_lanes_decide(tables, chunks):
     # every lane's two verdicts equal the reference methods' on its
     # candidate, and a failing lane reads 0x80, a passing one 0
+    n = tables.full.bit_length()
     count = 0
     for entries, t_fails, nt_fails in tables.lane_verdicts(chunks):
+        entries = [plane_values(lane, n) for lane in entries]
         size = len(entries[0])
         t_lanes, nt_lanes = t_fails.to_bytes(size, "little"), nt_fails.to_bytes(size, "little")
         assert set(t_lanes + nt_lanes) <= {0, 0x80}
+        assert t_fails >> 8 * size == nt_fails >> 8 * size == 0
         for fam, t_lane, nt_lane in zip(zip(*entries), t_lanes, nt_lanes):
             assert (tables.t_verdict(fam), tables.nt_verdict(fam)) == (not t_lane, not nt_lane)
         count += size
@@ -394,14 +440,14 @@ def assert_lanes_decide(tables, chunks):
 
 def test_lane_verdicts_match_the_reference_on_the_sampled_random_leg():
     # every candidate of the random leg's 8 sampled models, which the sweep
-    # decides in byte lanes (4 or 5 vertices, no t_check)
+    # decides in byte lanes (4 or 5 vertices, one plane, no t_check)
     models = [
         (model, seed) for model, seed in builtin_random_models(40)
         if (1 << model.vertex_count) ** (1 << model.rank) > DEFAULT_CANDIDATE_CEILING
     ]
     assert len(models) == 8
     for model, seed in models:
-        assert model.vertex_count <= _LANE_BITS
+        assert model.vertex_count in (4, 5)
         chunks = _sampled_lanes(
             random.Random(seed), model.vertex_count, model.rank, DEFAULT_CANDIDATE_SAMPLES
         )
@@ -413,12 +459,11 @@ def test_lane_verdicts_match_the_reference_on_the_sampled_random_leg():
 ], ids=["rank-3", "rank-4"])
 def test_lane_verdicts_on_every_chunk_shape(kind, rank, n, seed):
     # no candidate, one (a lone monotone draw), an odd count, and one past a
-    # chunk (a full chunk, then a one-candidate one), on tables whose jf
-    # rows drop a vertex so that the verdicts disagree; lpi is not
-    # corrupted (see the faulty-tables test)
+    # chunk (a full chunk, then a one-candidate one), on tables whose xf
+    # rows gain a vertex, so jf drops it and the verdicts disagree; lpi is
+    # not corrupted (see the faulty-tables test)
     model = random_model(kind, rank, n, seed=seed)
-    tables = SweepTables(model)
-    tables.jf = {f: [h & ~(model.full + 1 >> 1) for h in row] for f, row in tables.jf.items()}
+    tables = with_xf(SweepTables(model), gains_top_vertex(model))
     chunk = 2 * max(_SAMPLER_MIN_PAIRS, _SAMPLER_CHUNK_VALUES // (3 << rank))
     found = []
     for count in (0, 1, 7, chunk + 1):
@@ -431,6 +476,81 @@ def test_lane_verdicts_on_every_chunk_shape(kind, rank, n, seed):
         found.append(tables.lane_mismatches(lanes))
         assert found[-1] == tables.mismatches(sample)
     assert found[-1]
+
+
+#: Models of two and three 7-bit planes, each with T-families among its
+#: first sampled candidates, so that a fault shows as mismatches.
+PLANE_MODELS = [("dynsys", 2, 8, 1), ("dynsys", 2, 12, 2), ("kgraph", 2, 16, 1)]
+
+
+def table_rows(tables):
+    # every row the lane kernel reads: phi, xf, lpi and lim
+    return [*tables.phis, *tables.xf.values(), *tables.lpi.values(), *tables.lim.values()]
+
+
+def meet_models():
+    yield from fixtures.all_models()
+    for _, spec in EXHAUSTIVE_LEGS:
+        yield from (model for model, _ in iter_corpus_models(spec))
+    yield from (model for model, _ in builtin_random_models(40))
+
+
+def test_every_table_row_preserves_meets_and_fixes_the_vertex_set():
+    # the fact the lane kernel's plane lookups rest on: on every pair of
+    # subsets of the fixtures, the exhaustive legs and the first 40
+    # random-leg models, and on random pairs at 8-16 vertices
+    rows = 0
+    for model in meet_models():
+        subsets = range(model.full + 1)
+        for row in table_rows(SweepTables(model)):
+            assert row[model.full] == model.full
+            assert all(row[a & b] == row[a] & row[b] for a in subsets for b in subsets)
+            rows += 1
+    rng = random.Random(6)
+    for kind, rank, n, seed in [*PLANE_MODELS, ("dynsys", 2, 16, 4), ("kgraph", 3, 12, 1)]:
+        model = random_model(kind, rank, n, seed=seed)
+        for row in table_rows(SweepTables(model)):
+            assert row[model.full] == model.full
+            for _ in range(300):
+                a, b = rng.getrandbits(n), rng.getrandbits(n)
+                assert row[a & b] == row[a] & row[b]
+            rows += 1
+    assert rows > 10_000
+
+
+@pytest.mark.parametrize("kind, rank, n, seed", [
+    ("dynsys", 3, 5, 1), ("kgraph", 3, 7, 2), *PLANE_MODELS, ("dynsys", 2, 16, 4),
+], ids=lambda v: str(v))
+def test_the_plane_factored_lookup_equals_the_row_on_every_subset(kind, rank, n, seed):
+    model = random_model(kind, rank, n, seed=seed)
+    tables = SweepTables(model)
+    size = 1 << n
+    lane = plane_lane(range(size), n)
+    for row in table_rows(tables):
+        got = crossval._plane_lookup(crossval._plane_table(row), lane, size)
+        assert plane_values(got.to_bytes(len(lane), "little"), n) == row
+
+
+@pytest.mark.parametrize("kind, rank, n, seed", PLANE_MODELS, ids=["8", "12", "16"])
+def test_lane_verdicts_match_the_reference_on_two_and_three_planes(kind, rank, n, seed):
+    # on the true tables, and on tables whose xf rows gain the top and the
+    # bottom vertex (jf drops them; the two lie in different planes) or
+    # whose lim rows are full: each lane's verdicts equal the references',
+    # a fault shows as mismatches, and the lane records are the
+    # per-candidate kernel's
+    model = random_model(kind, rank, n, seed=seed)
+    tables = SweepTables(model)
+    ends = model.full + 1 >> 1 | 1
+    lim_full = copy.copy(tables)
+    lim_full.lim = {f: [model.full] * len(row) for f, row in tables.lim.items()}
+    sample = list(_biased_candidates(random.Random(seed), n, rank, 2000))
+    found = []
+    for tabs in (tables, with_xf(copy.copy(tables), lambda row: [x | ends for x in row]), lim_full):
+        assert assert_lanes_decide(tabs, _sampled_lanes(random.Random(seed), n, rank, 2000)) == 2000
+        records = tabs.lane_mismatches(_sampled_lanes(random.Random(seed), n, rank, 2000))
+        assert records == tabs.mismatches(sample)
+        found.append(len(records))
+    assert found[0] == 0 < found[1] and 0 < found[2]
 
 
 def test_the_first_sampled_candidate_comes_before_the_chunk_sizes_are_listed():

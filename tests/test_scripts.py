@@ -1,10 +1,13 @@
 """The experiment scripts stay runnable."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -89,3 +92,47 @@ def test_cli_digest_is_stable():
         key = f"count-budget{{}}-jobs{jobs}:absorb2"
         assert f"{key.format(44)} 3 {over.hexdigest()[:16]} {nothing}" in lines
         assert f"{key.format(45)} 0 {count} {nothing}" in lines
+
+
+def load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_snippet_occurs_exactly_once():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "mutants.py"), "--check"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the check itself: a snippet found twice or not at all, a replacement
+    # that changes nothing, a repeated name and a missing test all fail it
+    mutants = load_mutants()
+    first = mutants.MUTANTS[0]
+    bad = [
+        first._replace(name="twice", snippet="\n"),
+        first._replace(name="absent", snippet="no such code"),
+        first._replace(name="same", replacement=first.snippet),
+        first,
+        first._replace(tests=("tests/test_crossval.py::test_no_such_test",)),
+    ]
+    problems = mutants.check(bad)
+    assert [p.split(":")[0] for p in problems] == [
+        first.name, "twice", "absent", "same", first.name,
+    ]
+
+
+@pytest.mark.slow
+def test_every_mutant_is_killed():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "mutants.py")],
+        capture_output=True,
+        text=True,
+        timeout=1800,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "SURVIVED" not in proc.stdout
