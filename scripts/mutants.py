@@ -52,6 +52,7 @@ CHUNK_SHAPES = T + "test_lane_verdicts_on_every_chunk_shape"
 PLANES = T + "test_lane_verdicts_match_the_reference_on_two_and_three_planes"
 RANDRANGE = T + "test_sampler_draws_the_randrange_stream[0]"
 SELF_TEST = T + "test_sweep_self_test_detects_injected_fault"
+BLOCKS = T + "test_the_kernel_sees_only_the_blocks_the_first_cover_leaves"
 
 MUTANTS = (
     # the per-candidate kernel, SweepTables.mismatches
@@ -96,6 +97,32 @@ MUTANTS = (
         "        if t_check is not None:\n            records = (",
         "        if False:\n            records = (",
         (SELF_TEST,),
+    ),
+    # the exhaustive candidates, SweepTables.exhaustive_candidates, and
+    # their use in sweep_model
+    Mutant(
+        "block-test-inverted", CROSSVAL,
+        "if not h0 & ~(row0[h0] & h1)]",
+        "if h0 & ~(row0[h0] & h1)]",
+        (BLOCKS, WHOLE_SPACE),
+    ),
+    Mutant(
+        "blocks-under-a-t-check", CROSSVAL,
+        "tables.exhaustive_candidates() if t_check is None",
+        "tables.exhaustive_candidates() if True",
+        (FAULTY + "[jf-full]",),
+    ),
+    Mutant(
+        "block-test-entries-swapped", CROSSVAL,
+        "if not h0 & ~(row0[h0] & h1)]",
+        "if not h0 & ~(row0[h1] & h0)]",
+        (BLOCKS,),
+    ),
+    Mutant(
+        "block-entry-range-one-short", CROSSVAL,
+        "[h1 for h1 in hs if",
+        "[h1 for h1 in hs[:-1] if",
+        (BLOCKS,),
     ),
     # the lane kernel, SweepTables.lane_verdicts and lane_mismatches
     Mutant(

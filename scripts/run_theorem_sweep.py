@@ -4,7 +4,8 @@
 Prints per-leg progress to stderr and a JSON summary to stdout; any
 discrepancy reports are emitted as JSON lines.  Each leg reports its total
 ``seconds`` and, apart, the verdict sweep's ``sweep_seconds`` and the
-property suite's ``property_seconds``.  Exit code 0 iff clean.
+property suite's ``property_seconds``, in seconds to the millisecond.
+Exit code 0 iff clean.
 
 Usage:
     python scripts/run_theorem_sweep.py [--random-models N] [--seed S]
@@ -57,8 +58,8 @@ def main():
         t2 = time.perf_counter()
         print(
             f"{name}: {stats['models']} models, {stats['candidates']} candidates, "
-            f"{len(reports)} reports, {t2 - t0:.1f}s "
-            f"(sweep {t1 - t0:.1f}s, property suite {t2 - t1:.1f}s)",
+            f"{len(reports)} reports, {t2 - t0:.3f}s "
+            f"(sweep {t1 - t0:.3f}s, property suite {t2 - t1:.3f}s)",
             file=sys.stderr,
         )
         summary["legs"].append(
@@ -67,9 +68,9 @@ def main():
                 "models": stats["models"],
                 "candidates": stats["candidates"],
                 "reports": len(reports),
-                "seconds": round(t2 - t0, 1),
-                "sweep_seconds": round(t1 - t0, 1),
-                "property_seconds": round(t2 - t1, 1),
+                "seconds": round(t2 - t0, 3),
+                "sweep_seconds": round(t1 - t0, 3),
+                "property_seconds": round(t2 - t1, 3),
             }
         )
         all_reports.extend(reports)

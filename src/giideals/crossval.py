@@ -16,10 +16,12 @@ and (iii) of the tuple check are the subset half of the fixed-point
 equation on each cover, the paper's direct route.  So the sweep decides
 both verdicts in one pass per candidate (:meth:`SweepTables.mismatches`):
 a failed subset half on one cover breaks the equation and (ii)/(iii) at
-once, so both verdicts are False and nothing else needs reading.  A
-sampled model, swept with no ``t_check``, takes the same pass a chunk of
-candidates at a time, one byte lane per candidate and 7-bit plane of its
-vertex sets (:meth:`SweepTables.lane_verdicts`).
+once, so both verdicts are False and nothing else needs reading; an
+exhaustive sweep skips the blocks of candidates that the first cover so
+refutes (:meth:`SweepTables.exhaustive_candidates`).  A sampled model,
+swept with no ``t_check``, takes the same pass a chunk of candidates at a
+time, one byte lane per candidate and 7-bit plane of its vertex sets
+(:meth:`SweepTables.lane_verdicts`).
 Condition (iv) reads the covers too: it is reached only when every subset
 half holds, so the family is monotone and the meet of its entries over the
 strict supersets of ``F`` is the meet over the covers ``F + i``.  The
@@ -500,9 +502,9 @@ class SweepTables:
     :meth:`mismatches`, the sweep's per-candidate kernel, decides both
     verdicts in one pass over the covers: the failed subset half of the
     equation on a cover decides both, since it fails T and (ii)/(iii)
-    alike; the first cover's, tested before the loop, settles most
-    candidates.  Condition (iv) meets over the covers of ``F`` (``ups``),
-    not all strict supersets, so no table here grows as 4^rank.
+    alike; :meth:`exhaustive_candidates` skips the blocks the first cover
+    refutes.  Condition (iv) meets over the covers of ``F`` (``ups``), not
+    all strict supersets, so no table here grows as 4^rank.
     :meth:`lane_verdicts` asks the same questions of a whole chunk of
     sampled candidates at once, one byte lane per candidate and plane, and
     :meth:`lane_mismatches` turns its answers into the same records.
@@ -568,6 +570,17 @@ class SweepTables:
                 return False
         return True
 
+    def exhaustive_candidates(self):
+        """Every candidate in ``itertools.product`` order but the blocks
+        whose leading ``(H_0, H_1)`` fail the first cover's subset half ``H_0
+        <= phi(1, H_0) & H_1``: all ``size ** (nmasks - 2)`` fail T and NT."""
+        hs = range(self.full + 1)
+        row0, tails = self.phis[0], [hs] * (self.nmasks - 2)
+        return itertools.chain.from_iterable(
+            itertools.product((h0,), [h1 for h1 in hs if not h0 & ~(row0[h0] & h1)], *tails)
+            for h0 in hs
+        )
+
     def mismatches(self, candidates, t_check=None) -> list[dict]:
         """The candidates on which the two verdicts differ, as records
         ``{"family": fam, "t": t, "nt": nt}`` in candidate order, at most
@@ -576,14 +589,15 @@ class SweepTables:
         One pass over the covers decides both verdicts.  ``x = phi(i, H_F)
         & H_{F+i}`` is computed once per cover: T fails where ``x != H_F``,
         and where ``H_F`` is not inside ``x`` the subset half fails too, so
-        both verdicts are False and the candidate is done; the first cover,
-        on its bound phi row, settles most candidates before the loop.  Only
-        a candidate that passes every subset half goes on to (i) and (iv),
+        both verdicts are False and the candidate is done; the first cover
+        is tested before the loop, on its bound phi row.  Only a candidate
+        that passes every subset half goes on to (i) and (iv),
         which reads the covers ``F + i`` and one ``lpi`` lookup.  Under a
         ``t_check(fam)``, which supplies ``t``, no cover settles a candidate
         and the kernel does not run: each takes ``t_check(fam)`` and the
         reference :meth:`nt_verdict`, in candidate order.  The sweep runs the
-        kernel on exhaustive candidates, :meth:`lane_mismatches` on sampled.
+        kernel on :meth:`exhaustive_candidates`, :meth:`lane_mismatches` on
+        sampled.
         """
         if t_check is not None:
             records = (
@@ -869,19 +883,20 @@ def sweep_model(
     Returns up to :data:`REPORT_CAP` mismatch records ``{"family": fam,
     "t": t_verdict, "nt": nt_verdict}`` in candidate order, where ``fam`` is
     the candidate family as a tuple of bitmasks.  Both verdicts come from
-    one pass per candidate of :meth:`SweepTables.mismatches`, except on a
-    sampled model with no ``t_check``: there
-    :meth:`SweepTables.lane_mismatches` decides each chunk of
-    :func:`_sampled_lanes` at once, one byte lane per candidate and 7-bit
-    plane, with the same records.  ``t_check(model, fam)`` overrides the
-    fixed-point verdict (the harness self-test's injected fault): called
-    once per candidate in order, beside the reference NT verdict, it runs
-    no kernel.  ``stats`` receives ``mode`` (``"exhaustive"`` or
-    ``"sampled"``) and ``candidates``: the model's candidate space or sample
-    count, which it keeps even when the sweep stops at the
-    :data:`REPORT_CAP`-th mismatch.  Models above 16 vertices raise
-    :class:`BudgetExceededError` with stats ``{"vertices": n,
-    "table_limit": 16}`` from their first phi table.
+    one pass per candidate of :meth:`SweepTables.mismatches`, on
+    :meth:`SweepTables.exhaustive_candidates` (the blocks that the first
+    cover refutes fail both, so they are skipped), except on a sampled
+    model with no ``t_check``: there :meth:`SweepTables.lane_mismatches`
+    decides each chunk of :func:`_sampled_lanes` at once, one byte lane per
+    candidate and 7-bit plane, with the same records.  ``t_check(model,
+    fam)`` overrides the fixed-point verdict (the harness self-test's
+    injected fault): called once per candidate of the whole product or
+    sample, in order, beside the reference NT verdict, it runs no kernel.
+    ``stats`` receives ``mode`` (``"exhaustive"`` or ``"sampled"``) and
+    ``candidates``: the model's candidate space or sample count, which it
+    keeps even when the sweep stops at the :data:`REPORT_CAP`-th mismatch.
+    Models above 16 vertices raise :class:`BudgetExceededError` with stats
+    ``{"vertices": n, "table_limit": 16}`` from their first phi table.
     """
     tables = SweepTables(model)
     n = model.vertex_count
@@ -890,7 +905,10 @@ def sweep_model(
     by_lanes = space > candidate_ceiling and t_check is None
     if space <= candidate_ceiling:
         mode = "exhaustive"
-        candidates = itertools.product(range(size), repeat=tables.nmasks)
+        candidates = (
+            tables.exhaustive_candidates() if t_check is None
+            else itertools.product(range(size), repeat=tables.nmasks)
+        )
         checked = space
     else:
         mode = "sampled"

@@ -722,6 +722,18 @@ def test_crosscheck_sampled_corpus_on_two_planes_decides_in_byte_lanes(
     assert "6 model(s), 120000 candidate families, 0 discrepancy" in err
 
 
+def test_crosscheck_exhaustive_corpus_of_ranks_1_to_3(capsys, fixture_dir):
+    # one-vertex models of ranks 1 to 3, every one exhaustive: the sweep
+    # skips the blocks that the first cover refutes, with zero trailing
+    # entries at rank 1 and six at rank 3, and counts the whole space
+    code, out, err = run(
+        capsys, "crosscheck", "--corpus", fx(fixture_dir, "corpus_exhaustive_ranks.json")
+    )
+    assert code == 0
+    assert out == ""
+    assert err == "crosscheck: 53 model(s), 9188 candidate families, 0 discrepancy report(s)\n"
+
+
 def test_crosscheck_needs_exactly_one_source(capsys, fixture_dir):
     code, _, err = run(capsys, "crosscheck")
     assert code == 2

@@ -261,9 +261,11 @@ def gains_top_vertex(model):
 def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, table, corrupt):
     # without t_check the sweep decides T from its own tables; on corrupted
     # division (xf, and jf rebuilt from it) or eventual-containment rows, or
-    # a corrupted phi row of direction 1 (the first cover's, which the
-    # kernel tests before its cover loop), NT disagrees with T, and the sweep must report exactly
-    # what the two reference methods decide on the same tables.  lpi is
+    # a corrupted phi row of direction 1 (the first cover's, which decides
+    # the blocks the sweep skips and which the kernel tests before its cover
+    # loop), NT disagrees with T, and the sweep must report exactly what the
+    # two reference methods decide on the same tables, every record of them
+    # once REPORT_CAP is lifted.  lpi is
     # never corrupted (it is built from the true phi rows): the kernel's one
     # lookup lpi[jf & k0] equals the reference's lpi[jf] & lpi[k0] only on a
     # true lpi table
@@ -289,6 +291,9 @@ def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, tabl
     assert len(reference) > REPORT_CAP
     expected = reference[:REPORT_CAP]
     assert sweep_model(model) == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(crossval, "REPORT_CAP", len(space))
+        assert sweep_model(model) == reference
     assert kernel_records(tables, space) == reference
     if table == "phis":
         # the faulty row moves the first cover's exit: a full row makes it
@@ -374,26 +379,70 @@ def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, tabl
 @pytest.mark.parametrize("kind, rank, n, seed", [
     ("dynsys", 1, 6, 3), ("kgraph", 3, 2, 5),
 ], ids=["rank-1", "rank-3"])
-def test_the_kernel_matches_the_references_on_a_whole_space(kind, rank, n, seed):
+def test_the_kernel_matches_the_references_on_a_whole_space(monkeypatch, kind, rank, n, seed):
     # a rank-1 space has no cover after the first, so the exit and the
     # conditions (i) and (iv) decide every candidate; the rank-3 space
     # (65,536 candidates at 2 vertices) walks 11 more covers.  On the true
     # tables and on tables whose jf rows drop a vertex (so T and NT differ),
     # the kernel's records equal the references', whole and one candidate
-    # at a time
+    # at a time, and so do the sweep's, which skips the blocks that the
+    # first cover refutes, with REPORT_CAP lifted
+    class DropsAVertex(SweepTables):
+        def __init__(self, model):
+            super().__init__(model)
+            drop = ~(model.full + 1 >> 1)
+            self.jf = {f: [h & drop for h in row] for f, row in self.jf.items()}
+
     model = random_model(kind, rank, n, seed=seed)
     space = list(itertools.product(range(1 << n), repeat=1 << rank))
     assert len(space) == (4096 if rank == 1 else 65536)
-    tables = SweepTables(model)
-    faulty = SweepTables(model)
-    faulty.jf = {f: [h & ~(model.full + 1 >> 1) for h in row] for f, row in faulty.jf.items()}
     lengths = []
-    for tabs in (tables, faulty):
+    for cls in (SweepTables, DropsAVertex):
+        tabs = cls(model)
         reference = reference_records(tabs, space)
         assert tabs.mismatches(space) == reference[:REPORT_CAP]
         assert kernel_records(tabs, space) == reference
+        with monkeypatch.context() as patch:
+            patch.setattr(crossval, "SweepTables", cls)
+            patch.setattr(crossval, "REPORT_CAP", len(space))
+            assert sweep_model(model) == reference
         lengths.append(len(reference))
     assert lengths[0] == 0 < lengths[1]
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(lambda: random_model("dynsys", 1, 6, seed=3), id="rank-1"),
+    pytest.param(fixtures.absorb2, id="absorb2"),
+    pytest.param(lambda: random_model("kgraph", 3, 2, seed=5), id="rank-3"),
+])
+def test_the_kernel_sees_only_the_blocks_the_first_cover_leaves(monkeypatch, model):
+    # an exhaustive sweep with no t_check hands the kernel exactly the
+    # candidates whose first subset half, H_0 <= phi(1, H_0) & H_1, holds,
+    # in itertools.product order: at rank 1 the blocks are single
+    # candidates, at rank 3 each holds 4**6.  Every skipped candidate fails
+    # T and NT, so the records are the references' on the whole space, and
+    # the stats still count the whole space
+    seen = []
+
+    class Seeing(SweepTables):
+        def mismatches(self, candidates, t_check=None):
+            candidates = list(candidates)
+            seen.extend(candidates)
+            return super().mismatches(candidates, t_check)
+
+    model = model()
+    tables = SweepTables(model)
+    space = list(itertools.product(range(tables.full + 1), repeat=tables.nmasks))
+    row0 = tables.phis[0]
+    kept = [fam for fam in space if not fam[0] & ~(row0[fam[0]] & fam[1])]
+    assert 0 < len(kept) < len(space)
+    monkeypatch.setattr(crossval, "SweepTables", Seeing)
+    stats = {}
+    assert sweep_model(model, stats=stats) == reference_records(tables, space)[:REPORT_CAP]
+    assert seen == kept
+    assert stats == {"mode": "exhaustive", "candidates": len(space)}
+    skipped = set(space) - set(kept)
+    assert not any(tables.t_verdict(fam) or tables.nt_verdict(fam) for fam in skipped)
 
 
 def plane_bits(n):
