@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation gate for the sweep's verdict code: every listed mutant must be
-killed by the tests named beside it.
+"""Mutation gate for the sweep's verdict code and the lattice's
+join-irreducibles: every listed mutant must be killed by the tests named
+beside it.
 
 A mutant is an exact snippet of a file under ``src/giideals``, its
 replacement, and the pytest node ids that must fail on the mutated code.
@@ -45,14 +46,17 @@ class Mutant(NamedTuple):
 
 
 CROSSVAL = "crossval.py"
+LATTICE = "lattice.py"
 T = "tests/test_crossval.py::"
+L = "tests/test_lattice.py::"
 WHOLE_SPACE = T + "test_the_kernel_matches_the_references_on_a_whole_space"
 FAULTY = T + "test_sweep_matches_the_reference_verdicts_on_faulty_tables"
 CHUNK_SHAPES = T + "test_lane_verdicts_on_every_chunk_shape"
 PLANES = T + "test_lane_verdicts_match_the_reference_on_two_and_three_planes"
 RANDRANGE = T + "test_sampler_draws_the_randrange_stream[0]"
 SELF_TEST = T + "test_sweep_self_test_detects_injected_fault"
-BLOCKS = T + "test_the_kernel_sees_only_the_blocks_the_first_cover_leaves"
+DOMAIN_PIN = T + "test_the_kernel_sees_only_candidates_with_every_entry_in_its_domain"
+DOMAINS = T + "test_every_domain_is_the_sets_invariant_outside_its_direction_set"
 
 MUTANTS = (
     # the per-candidate kernel, SweepTables.mismatches
@@ -98,13 +102,14 @@ MUTANTS = (
         "        if False:\n            records = (",
         (SELF_TEST,),
     ),
-    # the exhaustive candidates, SweepTables.exhaustive_candidates, and
-    # their use in sweep_model
+    # the exhaustive candidates, SweepTables.exhaustive_candidates and
+    # domains, and their use in sweep_model.  The first cover's test on
+    # (H_0, H_1) is H_1 >= H_0 on H_0's domain
     Mutant(
         "block-test-inverted", CROSSVAL,
-        "if not h0 & ~(row0[h0] & h1)]",
-        "if h0 & ~(row0[h0] & h1)]",
-        (BLOCKS, WHOLE_SPACE),
+        "if not h0 & ~h1]",
+        "if h0 & ~h1]",
+        (DOMAIN_PIN, WHOLE_SPACE),
     ),
     Mutant(
         "blocks-under-a-t-check", CROSSVAL,
@@ -114,15 +119,39 @@ MUTANTS = (
     ),
     Mutant(
         "block-test-entries-swapped", CROSSVAL,
-        "if not h0 & ~(row0[h0] & h1)]",
-        "if not h0 & ~(row0[h1] & h0)]",
-        (BLOCKS,),
+        "if not h0 & ~h1]",
+        "if not h1 & ~h0]",
+        (DOMAIN_PIN,),
     ),
     Mutant(
         "block-entry-range-one-short", CROSSVAL,
-        "[h1 for h1 in hs if",
-        "[h1 for h1 in hs[:-1] if",
-        (BLOCKS,),
+        "[h1 for h1 in d[1] if",
+        "[h1 for h1 in d[1][:-1] if",
+        (DOMAIN_PIN,),
+    ),
+    Mutant(
+        "domain-read-on-directions-inside", CROSSVAL,
+        "[[row for i, row in phis if not f >> i & 1]",
+        "[[row for i, row in phis if f >> i & 1]",
+        (DOMAINS, DOMAIN_PIN),
+    ),
+    Mutant(
+        "domain-invariance-test-inverted", CROSSVAL,
+        "[[h for h in hs if not any(h & ~row[h] for row in rows)]",
+        "[[h for h in hs if any(h & ~row[h] for row in rows)]",
+        (DOMAINS, DOMAIN_PIN),
+    ),
+    Mutant(
+        "domain-h0-at-the-full-range", CROSSVAL,
+        "            for h0 in d[0]\n",
+        "            for h0 in d[-1]\n",
+        (DOMAIN_PIN,),
+    ),
+    Mutant(
+        "domain-trailing-entries-at-the-full-range", CROSSVAL,
+        "h0 & ~h1], *d[2:])",
+        "h0 & ~h1], *d[-1:] * (len(d) - 2))",
+        (DOMAIN_PIN + "[rank-3]",),
     ),
     # the lane kernel, SweepTables.lane_verdicts and lane_mismatches
     Mutant(
@@ -210,10 +239,26 @@ MUTANTS = (
         "map(chunk, [min(step, count - start) for start in range(0, count, step)])",
         (T + "test_the_first_sampled_candidate_comes_before_the_chunk_sizes_are_listed",),
     ),
+    # the lattice's join-irreducibles, lattice._join_irreducibles.  Seeding
+    # an atom's closure from the closures above it changes no closure, only
+    # which atoms the Horn closure runs for
+    Mutant(
+        "closure-seeded-without-the-closures-above", LATTICE,
+        "            for up in ups:\n",
+        "            for up in ():\n",
+        (L + "test_an_atom_is_closed_only_where_no_closure_above_holds_it",),
+    ),
+    Mutant(
+        "remainder-test-skipped", LATTICE,
+        "        if is_t_family(model, [s & ~t for s, t in zip(c, g)]).verdict\n",
+        "        if True\n",
+        (L + "test_join_irreducibles_match_their_definition",),
+    ),
 )
 
 #: Mutants no test can kill because they do not change behaviour, by name,
-#: each with its reason.  Empty: every mutant above changes some verdict.
+#: each with its reason.  Empty: every mutant above changes some output, or
+#: (the closure seeding) the atoms the Horn closure runs for.
 EQUIVALENT: dict = {}
 
 

@@ -16,9 +16,10 @@ and (iii) of the tuple check are the subset half of the fixed-point
 equation on each cover, the paper's direct route.  So the sweep decides
 both verdicts in one pass per candidate (:meth:`SweepTables.mismatches`):
 a failed subset half on one cover breaks the equation and (ii)/(iii) at
-once, so both verdicts are False and nothing else needs reading; an
-exhaustive sweep skips the blocks of candidates that the first cover so
-refutes (:meth:`SweepTables.exhaustive_candidates`).  A sampled model,
+once, so both verdicts are False and nothing else needs reading.  An
+exhaustive sweep never builds most such candidates: it draws each ``H_F``
+from its domain, the sets (ii) leaves it, and ``H_1`` above ``H_0``
+(:meth:`SweepTables.exhaustive_candidates`).  A sampled model,
 swept with no ``t_check``, takes the same pass a chunk of candidates at a
 time, one byte lane per candidate and 7-bit plane of its vertex sets
 (:meth:`SweepTables.lane_verdicts`).
@@ -502,9 +503,10 @@ class SweepTables:
     :meth:`mismatches`, the sweep's per-candidate kernel, decides both
     verdicts in one pass over the covers: the failed subset half of the
     equation on a cover decides both, since it fails T and (ii)/(iii)
-    alike; :meth:`exhaustive_candidates` skips the blocks the first cover
-    refutes.  Condition (iv) meets over the covers of ``F`` (``ups``), not
-    all strict supersets, so no table here grows as 4^rank.
+    alike; :meth:`exhaustive_candidates` builds no candidate with an entry
+    off its :meth:`domains` or ``H_1`` not above ``H_0``, which all so fail.
+    Condition (iv) meets over the covers of ``F`` (``ups``), not all strict
+    supersets, so no table here grows as 4^rank.
     :meth:`lane_verdicts` asks the same questions of a whole chunk of
     sampled candidates at once, one byte lane per candidate and plane, and
     :meth:`lane_mismatches` turns its answers into the same records.
@@ -570,15 +572,22 @@ class SweepTables:
                 return False
         return True
 
+    def domains(self) -> list[list[int]]:
+        """Per entry ``H_F``, ascending, the sets ``h <= phi(i, h)`` for each
+        direction ``i`` outside ``F``: for a proper ``F``, the sets ``lpi[F]``
+        fixes.  Off its domain ``H_F`` fails (ii), so T and NT, on a cover."""
+        hs, phis = range(self.full + 1), list(enumerate(self.phis))
+        outside = [[row for i, row in phis if not f >> i & 1] for f in range(self.nmasks)]
+        return [[h for h in hs if not any(h & ~row[h] for row in rows)] for rows in outside]
+
     def exhaustive_candidates(self):
-        """Every candidate in ``itertools.product`` order but the blocks
-        whose leading ``(H_0, H_1)`` fail the first cover's subset half ``H_0
-        <= phi(1, H_0) & H_1``: all ``size ** (nmasks - 2)`` fail T and NT."""
-        hs = range(self.full + 1)
-        row0, tails = self.phis[0], [hs] * (self.nmasks - 2)
+        """The candidates in ``itertools.product`` order with every entry in
+        its :meth:`domains` and ``H_1 >= H_0``, which on ``H_0``'s domain is
+        (iii) on the first cover; each of the others fails T and NT."""
+        d = self.domains()
         return itertools.chain.from_iterable(
-            itertools.product((h0,), [h1 for h1 in hs if not h0 & ~(row0[h0] & h1)], *tails)
-            for h0 in hs
+            itertools.product((h0,), [h1 for h1 in d[1] if not h0 & ~h1], *d[2:])
+            for h0 in d[0]
         )
 
     def mismatches(self, candidates, t_check=None) -> list[dict]:
@@ -596,8 +605,8 @@ class SweepTables:
         ``t_check(fam)``, which supplies ``t``, no cover settles a candidate
         and the kernel does not run: each takes ``t_check(fam)`` and the
         reference :meth:`nt_verdict`, in candidate order.  The sweep runs the
-        kernel on :meth:`exhaustive_candidates`, :meth:`lane_mismatches` on
-        sampled.
+        kernel on :meth:`exhaustive_candidates`, where only (iii) can fail a
+        subset half, and :meth:`lane_mismatches` on sampled candidates.
         """
         if t_check is not None:
             records = (
@@ -884,14 +893,15 @@ def sweep_model(
     "t": t_verdict, "nt": nt_verdict}`` in candidate order, where ``fam`` is
     the candidate family as a tuple of bitmasks.  Both verdicts come from
     one pass per candidate of :meth:`SweepTables.mismatches`, on
-    :meth:`SweepTables.exhaustive_candidates` (the blocks that the first
-    cover refutes fail both, so they are skipped), except on a sampled
-    model with no ``t_check``: there :meth:`SweepTables.lane_mismatches`
-    decides each chunk of :func:`_sampled_lanes` at once, one byte lane per
-    candidate and 7-bit plane, with the same records.  ``t_check(model,
-    fam)`` overrides the fixed-point verdict (the harness self-test's
-    injected fault): called once per candidate of the whole product or
-    sample, in order, beside the reference NT verdict, it runs no kernel.
+    :meth:`SweepTables.exhaustive_candidates` (a candidate with an entry off
+    its domain, or ``H_1`` not above ``H_0``, fails both and is never
+    built), except on a sampled model with no ``t_check``: there
+    :meth:`SweepTables.lane_mismatches` decides each chunk of
+    :func:`_sampled_lanes` at once, one byte lane per candidate and 7-bit
+    plane, with the same records.  ``t_check(model, fam)`` overrides the
+    fixed-point verdict (the harness self-test's injected fault): called
+    once per candidate of the whole product or sample, in order, beside the
+    reference NT verdict, it runs no kernel.
     ``stats`` receives ``mode`` (``"exhaustive"`` or ``"sampled"``) and
     ``candidates``: the model's candidate space or sample count, which it
     keeps even when the sweep stops at the :data:`REPORT_CAP`-th mismatch.

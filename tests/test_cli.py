@@ -724,7 +724,7 @@ def test_crosscheck_sampled_corpus_on_two_planes_decides_in_byte_lanes(
 
 def test_crosscheck_exhaustive_corpus_of_ranks_1_to_3(capsys, fixture_dir):
     # one-vertex models of ranks 1 to 3, every one exhaustive: the sweep
-    # skips the blocks that the first cover refutes, with zero trailing
+    # draws each entry from its domain and H_1 above H_0, with zero trailing
     # entries at rank 1 and six at rank 3, and counts the whole space
     code, out, err = run(
         capsys, "crosscheck", "--corpus", fx(fixture_dir, "corpus_exhaustive_ranks.json")
@@ -732,6 +732,21 @@ def test_crosscheck_exhaustive_corpus_of_ranks_1_to_3(capsys, fixture_dir):
     assert code == 0
     assert out == ""
     assert err == "crosscheck: 53 model(s), 9188 candidate families, 0 discrepancy report(s)\n"
+
+
+def test_crosscheck_exhaustive_corpus_with_narrow_domains(capsys, fixture_dir):
+    # 12 random rank-2 models of 4 and 5 vertices, each under the 2**20
+    # ceiling, so exhaustive; in 11 of them some H_0 is not closed under the
+    # directions, so the sweep's domains drop candidates.  The summary is
+    # the one the full product gave
+    code, out, err = run(
+        capsys, "crosscheck", "--corpus", fx(fixture_dir, "corpus_exhaustive_domains.json")
+    )
+    assert code == 0
+    assert out == ""
+    assert err == (
+        "crosscheck: 12 model(s), 9633792 candidate families, 0 discrepancy report(s)\n"
+    )
 
 
 def test_crosscheck_needs_exactly_one_source(capsys, fixture_dir):

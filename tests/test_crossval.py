@@ -261,11 +261,11 @@ def gains_top_vertex(model):
 def test_sweep_matches_the_reference_verdicts_on_faulty_tables(monkeypatch, table, corrupt):
     # without t_check the sweep decides T from its own tables; on corrupted
     # division (xf, and jf rebuilt from it) or eventual-containment rows, or
-    # a corrupted phi row of direction 1 (the first cover's, which decides
-    # the blocks the sweep skips and which the kernel tests before its cover
-    # loop), NT disagrees with T, and the sweep must report exactly what the
-    # two reference methods decide on the same tables, every record of them
-    # once REPORT_CAP is lifted.  lpi is
+    # a corrupted phi row of direction 1 (the first cover's, which the
+    # kernel tests before its cover loop, and which shapes the domains the
+    # sweep draws H_0 and H_2 from), NT disagrees with T, and the sweep must
+    # report exactly what the two reference methods decide on the same
+    # tables, every record of them once REPORT_CAP is lifted.  lpi is
     # never corrupted (it is built from the true phi rows): the kernel's one
     # lookup lpi[jf & k0] equals the reference's lpi[jf] & lpi[k0] only on a
     # true lpi table
@@ -385,8 +385,8 @@ def test_the_kernel_matches_the_references_on_a_whole_space(monkeypatch, kind, r
     # (65,536 candidates at 2 vertices) walks 11 more covers.  On the true
     # tables and on tables whose jf rows drop a vertex (so T and NT differ),
     # the kernel's records equal the references', whole and one candidate
-    # at a time, and so do the sweep's, which skips the blocks that the
-    # first cover refutes, with REPORT_CAP lifted
+    # at a time, and so do the sweep's, which draws each entry from its
+    # domain and H_1 above H_0, with REPORT_CAP lifted
     class DropsAVertex(SweepTables):
         def __init__(self, model):
             super().__init__(model)
@@ -410,18 +410,28 @@ def test_the_kernel_matches_the_references_on_a_whole_space(monkeypatch, kind, r
     assert lengths[0] == 0 < lengths[1]
 
 
+def invariant_sets(model, f):
+    # the sets closed under every direction outside f, from the deps alone:
+    # v in h brings deps[i - 1][v] into h
+    outside = [dep for i, dep in enumerate(model.deps) if not f >> i & 1]
+    return [
+        h for h in range(model.full + 1)
+        if not any(h >> v & 1 and dep[v] & ~h for dep in outside for v in range(model.vertex_count))
+    ]
+
+
 @pytest.mark.parametrize("model", [
     pytest.param(lambda: random_model("dynsys", 1, 6, seed=3), id="rank-1"),
     pytest.param(fixtures.absorb2, id="absorb2"),
     pytest.param(lambda: random_model("kgraph", 3, 2, seed=5), id="rank-3"),
 ])
-def test_the_kernel_sees_only_the_blocks_the_first_cover_leaves(monkeypatch, model):
+def test_the_kernel_sees_only_candidates_with_every_entry_in_its_domain(monkeypatch, model):
     # an exhaustive sweep with no t_check hands the kernel exactly the
-    # candidates whose first subset half, H_0 <= phi(1, H_0) & H_1, holds,
-    # in itertools.product order: at rank 1 the blocks are single
-    # candidates, at rank 3 each holds 4**6.  Every skipped candidate fails
-    # T and NT, so the records are the references' on the whole space, and
-    # the stats still count the whole space
+    # candidates whose every entry H_F is closed under the directions
+    # outside F and whose H_1 holds H_0, in itertools.product order: the
+    # others fail (ii) or (iii) on some cover.  So every dropped candidate
+    # fails T and NT, the records are the references' on the whole space,
+    # and the stats still count the whole space
     seen = []
 
     class Seeing(SweepTables):
@@ -433,16 +443,44 @@ def test_the_kernel_sees_only_the_blocks_the_first_cover_leaves(monkeypatch, mod
     model = model()
     tables = SweepTables(model)
     space = list(itertools.product(range(tables.full + 1), repeat=tables.nmasks))
+    domains = [set(invariant_sets(model, f)) for f in range(tables.nmasks)]
+    kept = [
+        fam for fam in space
+        if all(h in domain for h, domain in zip(fam, domains)) and not fam[0] & ~fam[1]
+    ]
     row0 = tables.phis[0]
-    kept = [fam for fam in space if not fam[0] & ~(row0[fam[0]] & fam[1])]
-    assert 0 < len(kept) < len(space)
+    first_cover = [fam for fam in space if not fam[0] & ~(row0[fam[0]] & fam[1])]
+    # at rank 1 the one cover reads both entries, and H_1's domain is
+    # every set, so the domains drop no candidate the first cover keeps
+    assert 0 < len(kept) <= len(first_cover) < len(space)
+    assert (len(kept) < len(first_cover)) == (model.rank > 1)
     monkeypatch.setattr(crossval, "SweepTables", Seeing)
     stats = {}
     assert sweep_model(model, stats=stats) == reference_records(tables, space)[:REPORT_CAP]
     assert seen == kept
     assert stats == {"mode": "exhaustive", "candidates": len(space)}
-    skipped = set(space) - set(kept)
-    assert not any(tables.t_verdict(fam) or tables.nt_verdict(fam) for fam in skipped)
+    dropped = set(space) - set(kept)
+    assert not any(tables.t_verdict(fam) or tables.nt_verdict(fam) for fam in dropped)
+
+
+def test_every_domain_is_the_sets_invariant_outside_its_direction_set():
+    # on the fixtures, both exhaustive legs and a rank-3 model, each entry's
+    # domain is, ascending, the sets closed under every direction outside
+    # F; for a proper F, exactly the sets lpi[F] fixes
+    models = [*fixtures.all_models(), random_model("kgraph", 3, 2, seed=5)]
+    for _, spec in EXHAUSTIVE_LEGS:
+        models.extend(model for model, _ in iter_corpus_models(spec))
+    shrunk = 0
+    for model in models:
+        tables = SweepTables(model)
+        domains = tables.domains()
+        assert domains == [invariant_sets(model, f) for f in range(tables.nmasks)]
+        for f in tables.proper_masks:
+            lpi = tables.lpi[f]
+            assert domains[f] == [h for h in range(model.full + 1) if lpi[h] == h]
+        assert domains[-1] == list(range(model.full + 1))
+        shrunk += len(domains[0]) < model.full + 1
+    assert (len(models), shrunk) == (1_444, 1_268)
 
 
 def plane_bits(n):

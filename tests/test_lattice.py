@@ -17,7 +17,7 @@ from giideals import (
     export_json,
 )
 from giideals.core import InvalidInputError, i_family
-from giideals.families import EnumerationResult
+from giideals.families import EnumerationResult, t_closure
 from giideals.kgraph import KGraphSkeleton
 from giideals.lattice import _join_irreducibles
 from giideals.modelio import canonical_json, family_to_doc, fingerprint, render_families
@@ -179,6 +179,39 @@ def test_join_irreducibles_match_their_definition():
         assert {j for j, _, _ in _join_irreducibles(model)} == expected
         checked += 1
     assert checked == 1_537
+
+
+def test_an_atom_is_closed_only_where_no_closure_above_holds_it(monkeypatch):
+    # each atom "v in H_m" starts from the closures of the atoms "v in
+    # H_{m+i}" above it, which H_F <= H_{F+i} puts inside its own; where one
+    # of them already holds v in H_m, that closure is the atom's, and the
+    # Horn closure runs only for the other atoms
+    from giideals import lattice
+
+    calls = []
+    close = lattice._close
+
+    def counted(model, phi, fam):
+        calls.append(fam)
+        return close(model, phi, fam)
+
+    monkeypatch.setattr(lattice, "_close", counted)
+    held_somewhere = 0
+    for model in [*fixtures.all_models(), *(m for m, _ in builtin_random_models(40))]:
+        nmasks = 1 << model.rank
+        closure = {
+            (m, v): t_closure(model, [1 << v if f == m else 0 for f in range(nmasks)])
+            for m in range(nmasks) for v in range(model.vertex_count)
+        }
+        held = sum(
+            any(closure[m | 1 << k, v][m] >> v & 1 for k in range(model.rank) if not m >> k & 1)
+            for m, v in closure
+        )
+        calls.clear()
+        _join_irreducibles(model)
+        assert len(calls) == len(closure) - held
+        held_somewhere += held > 0
+    assert held_somewhere == 21  # of the 46 models
 
 
 def count_down_sets(poset) -> int:
