@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation gate for the sweep's verdict code and the lattice's
-join-irreducibles: every listed mutant must be killed by the tests named
-beside it.
+"""Mutation gate for the sweep's verdict code, the exhaustive corpus's pair
+table and the lattice's join-irreducibles: every listed mutant must be
+killed by the tests named beside it.
 
 A mutant is an exact snippet of a file under ``src/giideals``, its
 replacement, and the pytest node ids that must fail on the mutated code.
@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 CROSSVAL = "crossval.py"
+CORPUS = "corpus.py"
 LATTICE = "lattice.py"
 T = "tests/test_crossval.py::"
 L = "tests/test_lattice.py::"
@@ -57,25 +58,30 @@ RANDRANGE = T + "test_sampler_draws_the_randrange_stream[0]"
 SELF_TEST = T + "test_sweep_self_test_detects_injected_fault"
 DOMAIN_PIN = T + "test_the_kernel_sees_only_candidates_with_every_entry_in_its_domain"
 DOMAINS = T + "test_every_domain_is_the_sets_invariant_outside_its_direction_set"
+PAIR_TABLE = "tests/test_corpus.py::test_the_pair_table_yields_exactly_the_tuples_that_build"
 
 MUTANTS = (
-    # the per-candidate kernel, SweepTables.mismatches
+    # the per-candidate kernel, SweepTables.mismatches: one loop decides
+    # every cover, the first one too, with t starting True
     Mutant(
-        "first-cover-exit-inverted", CROSSVAL,
-        "            if h & ~x:\n                continue  # the first subset half",
-        "            if not h & ~x:\n                continue  # the first subset half",
+        "subset-half-exit-inverted", CROSSVAL,
+        "                    if h & ~x:\n                        nt = False\n",
+        "                    if not h & ~x:\n                        nt = False\n",
         (WHOLE_SPACE,),
     ),
     Mutant(
         "spurious-exit-on-empty-set", CROSSVAL,
-        "            if h & ~x:\n                continue  # the first subset half",
-        "            if h & ~x or not h:\n                continue  # the first subset half",
+        "                if x != h:\n",
+        "                if not h:\n                    t = nt = False\n                    break\n"
+        "                if x != h:\n",
         (WHOLE_SPACE + "[rank-3]",),
     ),
     Mutant(
-        "t-starts-true", CROSSVAL,
-        "            t = x == h\n",
-        "            t = True\n",
+        # a failed first cover, {} to {1}, leaves t True, as a kernel that
+        # started t True after that cover did
+        "first-cover-leaves-t-true", CROSSVAL,
+        "                    t = False\n",
+        "                    t = fi == 1\n",
         (WHOLE_SPACE,),
     ),
     Mutant(
@@ -238,6 +244,26 @@ MUTANTS = (
         "map(chunk, (min(step, count - start) for start in range(0, count, step)))",
         "map(chunk, [min(step, count - start) for start in range(0, count, step)])",
         (T + "test_the_first_sampled_candidate_comes_before_the_chunk_sizes_are_listed",),
+    ),
+    # the exhaustive corpus's pair table, corpus._commuting_table and its
+    # reader _commuting_tuples
+    Mutant(
+        "pair-table-not-symmetric", CORPUS,
+        "                commute[j] |= 1 << i\n",
+        "                pass\n",
+        (PAIR_TABLE,),
+    ),
+    Mutant(
+        "pair-table-skips-adjacent-singles", CORPUS,
+        "range(i + 1, len(singles))",
+        "range(i + 2, len(singles))",
+        (PAIR_TABLE,),
+    ),
+    Mutant(
+        "pair-table-unread", CORPUS,
+        "partners >> k & 1",
+        "True",
+        (PAIR_TABLE,),
     ),
     # the lattice's join-irreducibles, lattice._join_irreducibles.  Seeding
     # an atom's closure from the closures above it changes no closure, only

@@ -17,14 +17,13 @@ import json
 import sys
 import time
 
-from giideals.crossval import (
+from giideals.corpus import (
     BUILTIN_SEED,
     EXHAUSTIVE_LEGS,
     builtin_random_models,
     iter_corpus_models,
-    property_suite,
-    theorem_a_sweep,
 )
+from giideals.crossval import property_suite, theorem_a_sweep
 
 
 def main():

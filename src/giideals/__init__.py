@@ -35,13 +35,11 @@ _PUBLIC = {
         "phi_n",
         "xf_inverse",
     ),
+    "corpus": ("CorpusSpec", "iter_corpus_models", "random_model"),
     "crossval": (
-        "CorpusSpec",
         "DiscrepancyReport",
-        "iter_corpus_models",
         "katsura_oracle",
         "property_suite",
-        "random_model",
         "theorem_a_sweep",
     ),
     "dynsys": ("PartialMapSystem",),

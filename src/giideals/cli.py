@@ -12,8 +12,9 @@ gone (``| head``).  A failed note on stderr never changes the exit code.
 
 Each command imports only the modules it uses: at module level this file
 imports ``core`` and ``modelio``, and the handlers import ``families``,
-``lattice`` and ``crossval`` when they need them.  Every command starts a
-fresh interpreter, so a module it does not load is start-up time saved.
+``lattice``, ``corpus`` and ``crossval`` when they need them.  Every
+command starts a fresh interpreter, so a module it does not load is
+start-up time saved.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    from .crossval import CorpusSpec, iter_corpus_models
+    from .corpus import CorpusSpec, iter_corpus_models
 
     if bool(args.model) == bool(args.corpus):
         raise InvalidInputError("give a model file or --corpus, not both or neither")
@@ -413,7 +414,7 @@ def _crosscheck_model(ceiling, samples, pair):
 
 
 def _cmd_random(args) -> int:
-    from .crossval import random_model
+    from .corpus import random_model
 
     model = random_model(
         args.kind,

@@ -15,7 +15,7 @@ Commutation is checked in the strong pointwise sense: for every pair of
 directions and every point, the two composites must be both undefined or
 both defined with equal values.  ``_first_clash`` is that one test: validation
 raises from it, and the exhaustive corpus enumeration in
-:mod:`giideals.crossval` calls it once per unordered pair of candidate maps,
+:mod:`giideals.corpus` calls it once per unordered pair of candidate maps,
 to build the pair table its tuples are read from.
 """
 

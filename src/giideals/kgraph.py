@@ -21,7 +21,7 @@ checks each matrix's shape and entries, and that the matrices commute.
 
 This module owns the commutation test for matrices, ``_first_clash``.
 Validation calls it on each pair of a model's matrices.  The exhaustive
-corpus enumeration in :mod:`giideals.crossval` calls it once per unordered
+corpus enumeration in :mod:`giideals.corpus` calls it once per unordered
 pair of candidate matrices, to build the pair table its tuples are read
 from.  The random-model generator there squares its seed matrix with
 ``_matmul``.

@@ -4,7 +4,7 @@ import json
 
 import hypothesis.strategies as st
 
-from giideals.crossval import random_model
+from giideals.corpus import random_model
 
 
 @st.composite
@@ -49,7 +49,7 @@ def corpus_models():
     """The shipped corpus, 1,643 models: the fixtures, both exhaustive legs
     (685 + 752 models) and the 200 seeded random models."""
     from giideals import fixtures
-    from giideals.crossval import (
+    from giideals.corpus import (
         EXHAUSTIVE_LEGS,
         builtin_random_models,
         iter_corpus_models,

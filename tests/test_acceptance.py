@@ -31,7 +31,7 @@ from giideals import (
     theorem_a_sweep,
 )
 from giideals.core import BudgetExceededError
-from giideals.crossval import (
+from giideals.corpus import (
     EXHAUSTIVE_LEGS,
     builtin_random_models,
     iter_corpus_models,

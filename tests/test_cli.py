@@ -105,7 +105,8 @@ def test_only_the_corpus_crosscheck_loads_the_process_pool(fixture_dir, tmp_path
 
 
 #: per command, its argv and the modules it must not load: ``validate`` and
-#: ``compute`` need no family code, and only fingerprints need ``hashlib``
+#: ``compute`` need no family code, ``random`` needs generation alone
+#: (``corpus``, not the harness), and only fingerprints need ``hashlib``
 UNLOADED_BY = {
     "validate": (["validate", "loop1.json"], {"families", "crossval", "lattice"}),
     "compute": (["compute", "jf", "shift2.json"], {"families", "crossval", "lattice", "hashlib"}),
@@ -116,7 +117,7 @@ UNLOADED_BY = {
     ),
     "random": (
         ["random", "--kind", "kgraph", "--rank", "2", "--vertices", "4", "--seed", "3"],
-        {"lattice", "hashlib"},
+        {"families", "crossval", "lattice", "hashlib"},
     ),
 }
 
@@ -1051,7 +1052,8 @@ def test_jobs_crosscheck_orders_reports_of_equal_fingerprints_by_corpus_index(
     # reports that tie on (fingerprint, claim) print in corpus order and, per
     # model, in candidate order, whichever worker swept the model
     import giideals.crossval
-    from giideals.crossval import CorpusSpec, DiscrepancyReport, iter_corpus_models
+    from giideals.corpus import CorpusSpec, iter_corpus_models
+    from giideals.crossval import DiscrepancyReport
 
     def tied_sweep(pairs, stats=None, **kwargs):
         if stats is not None:

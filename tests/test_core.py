@@ -397,7 +397,7 @@ def test_operator_laws_exhaustive_on_fixtures():
 
 def test_operator_laws_exhaustive_on_midsize_models():
     # exhaustive over every subset on a few larger random models
-    from giideals.crossval import random_model
+    from giideals.corpus import random_model
 
     models = [
         random_model("kgraph", 2, 7, seed=1),

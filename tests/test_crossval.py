@@ -28,21 +28,23 @@ from giideals import (
     random_model,
     theorem_a_sweep,
 )
-from giideals.crossval import (
+from giideals.corpus import (
     DEFAULT_CANDIDATE_CEILING,
     DEFAULT_CANDIDATE_SAMPLES,
     EXHAUSTIVE_LEGS,
+    builtin_random_models,
+)
+from giideals.crossval import (
     REPORT_CAP,
     SweepTables,
     _SAMPLER_CHUNK_VALUES,
     _SAMPLER_MIN_PAIRS,
     _biased_candidates,
     _sampled_lanes,
-    builtin_random_models,
     sweep_model,
 )
 from giideals.modelio import canonical_json, load_model, model_fingerprint
-from giideals import crossval, dynsys, fixtures, kgraph
+from giideals import corpus, crossval, dynsys, fixtures, kgraph
 
 from helpers import cli_rejects, doc_file, small_models
 
@@ -956,7 +958,7 @@ def test_sampled_corpus_ceiling_is_checked_before_any_draw(monkeypatch):
         raise AssertionError("a model was drawn past the ceiling")
 
     with monkeypatch.context() as patch:
-        patch.setattr(crossval, "random_model", no_draw)
+        patch.setattr(corpus, "random_model", no_draw)
         with pytest.raises(BudgetExceededError) as info:
             next(iter_corpus_models(spec))
     assert info.value.stats == {"implied_models": 11, "model_ceiling": 10}
@@ -1072,7 +1074,7 @@ def test_a_rank_1_corpus_tests_no_pair(monkeypatch):
     def no_clash(a, b):
         raise AssertionError("a rank-1 corpus tested a pair")
 
-    monkeypatch.setattr(crossval, "_matrix_clash", no_clash)
+    monkeypatch.setattr(corpus, "_matrix_clash", no_clash)
     spec = CorpusSpec(
         kinds=("kgraph",), rank_min=1, rank_max=1,
         vertices_min=3, vertices_max=3, max_mult=2, exhaustive=True,

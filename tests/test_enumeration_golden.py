@@ -19,7 +19,7 @@ from pathlib import Path
 
 from giideals import fixtures
 from giideals.core import BudgetExceededError, i_family
-from giideals.crossval import EXHAUSTIVE_LEGS, builtin_random_models, iter_corpus_models
+from giideals.corpus import EXHAUSTIVE_LEGS, builtin_random_models, iter_corpus_models
 from giideals.families import enumeration_result, iter_t_families
 
 FIXTURES = ("shift2", "absorb2", "loop1", "loops2", "funnel1", "funnel2")

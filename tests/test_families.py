@@ -26,7 +26,7 @@ from giideals import (
 )
 from giideals.families import VIOLATIONS, family_sort_key, iter_t_families, t_closure
 from giideals import fixtures, oracles
-from giideals.crossval import random_model
+from giideals.corpus import random_model
 from giideals.kgraph import KGraphSkeleton
 
 from helpers import corpus_models, small_models

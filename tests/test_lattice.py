@@ -22,7 +22,7 @@ from giideals.kgraph import KGraphSkeleton
 from giideals.lattice import _join_irreducibles
 from giideals.modelio import canonical_json, family_to_doc, fingerprint, render_families
 from giideals import fixtures, oracles
-from giideals.crossval import builtin_random_models
+from giideals.corpus import builtin_random_models
 
 from helpers import corpus_models, small_models
 

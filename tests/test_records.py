@@ -16,7 +16,7 @@ from giideals import (
     build_lattice,
     enumerate_t_families,
 )
-from giideals.crossval import DEFAULT_CANDIDATE_CEILING, DEFAULT_CANDIDATE_SAMPLES
+from giideals.corpus import DEFAULT_CANDIDATE_CEILING, DEFAULT_CANDIDATE_SAMPLES
 from giideals import fixtures
 
 #: each slotted record's fields, in constructor order
